@@ -4,7 +4,7 @@ A two-sample model, end to end
 
 Builds the smallest interesting model by hand: two training samples on a
 19-level input grid with a binary output, then walks one query through
-quantization, the plane lookups, the min/max combination, and the
+quantization, the plane readings, the min/max combination, and the
 weighted-sum defuzzifier.
 """
 
@@ -28,11 +28,13 @@ for s in samples:
     print(f"  inputs {s.inputs} -> input levels {levels}, "
           f"output {s.output} -> level {quantize(out_spec, s.output)}")
 
-# Each sample became one group holding one plane per input variable.
-# A plane is a (input levels x output levels) grid; the stain is a pyramid
-# around the sample's coordinates, clipped at zero.
-plane = model.groups[0].planes[0]
-print("\nfirst plane of the first group (rows = input levels 1..19):")
+# Each sample became one group, stored as its stain: the sample's levels.
+# The group stands for one plane per input variable.  A plane is a
+# (input levels x output levels) grid holding a pyramid around the stain's
+# coordinates, clipped at zero; the model derives it on demand.
+print(f"\nstains of the first group, as (input levels, output level): {model.groups[0].stains}")
+plane = model.plane(0, 0)
+print("first plane of the first group (rows = input levels 1..19):")
 for i, row in enumerate(plane.grid, start=1):
     cells = " ".join(f"{v:.2f}" for v in row)
     marker = "  <- apex row" if row.max() == 1.0 else ""

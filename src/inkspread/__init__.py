@@ -1,8 +1,9 @@
 """Optimization-free fuzzy modeling on ink-drop-spread planes.
 
-Training writes pyramid-shaped stains onto per-input confidence planes, one
-plane group per pattern; inference combines plane lookups with min across
-inputs, max across groups, and a weighted-sum defuzzifier.  A behavioral
+Training records one pyramid-shaped stain per pattern; the stains of a group
+stand for one confidence plane per input variable.  Inference combines
+plane readings with min across inputs, max across groups, and a weighted-sum
+defuzzifier, computed straight from the stains.  A behavioral
 memristor-crossbar twin evaluates the same model in the analog domain.
 """
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QuantizationSpec, StainRadii, quantize
+from .core import QuantizationSpec, StainRadii, level_values, quantize
 from .datasets import Dataset, gen_circles, gen_f1, gen_f2, spiral_points, gen_two_spiral
 from .errors import NoCoveragePresentError, ZeroVarianceError
 from .inference import defuzzify_many, infer_many, infer_many_fuzzy
@@ -196,7 +196,7 @@ def classify_max_membership(rows: np.ndarray, output_spec: QuantizationSpec,
 def classify(model: Model, X: np.ndarray, class_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-membership labels, weighted-sum labels and coverage for each query."""
     rows = infer_many_fuzzy(model, X)
-    crisp, covered = defuzzify_many(rows, model.output_level_values())
+    crisp, covered = defuzzify_many(rows, level_values(model.output_spec))
     return (classify_max_membership(rows, model.output_spec, class_count),
             classify_crisp(crisp, covered, class_count), covered)
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import (
-    EvalReport,
     average_regression_runs,
     run_classification_experiment,
     run_iris_experiment,
@@ -32,7 +31,7 @@ from .crossbar import DeviceParams, ProgrammingParams, crossbar_infer, program_f
 from .datasets import gen_circles, gen_f1, gen_f2, gen_two_spiral, load_iris
 from .errors import DividerUnderflowError, MalformedCsvError, NoCoverageError
 from .inference import infer, infer_trace
-from .model import Model, Sample, train_error_gated, train_full, train_merged
+from .model import Sample, train_error_gated, train_full, train_merged
 from .modelio import load_model, plane_to_csv, save_model
 
 EXIT_OK = 0
@@ -101,22 +100,28 @@ def cmd_train(args) -> int:
     else:
         model = train_merged(samples, input_specs, output_spec, radii)
     save_model(model, args.out)
-    cells = sum(p.grid.size for g in model.groups for p in g.planes)
     print(f"groups: {len(model.groups)} (from {len(samples)} samples, policy {cfg.policy})")
-    print(f"plane cells: {cells} ({cells * 8 / 1e6:.1f} MB in memory, {cells * 4 / 1e6:.1f} MB on disk)")
+    print(f"stains: {sum(len(g.stains) for g in model.groups)} "
+          f"({Path(args.out).stat().st_size} bytes on disk)")
     print(f"model written to {args.out}")
     return EXIT_OK
 
 
 def cmd_infer(args) -> int:
     model = load_model(args.model)
-    trace = infer_trace(model, args.inputs)
     if args.trace:
+        trace = infer_trace(model, args.inputs)
         Path(args.trace).write_text(json.dumps(trace, indent=2) + "\n")
-    if trace["no_coverage"]:
+        crisp = trace["crisp"]
+    else:
+        try:
+            crisp = infer(model, args.inputs)
+        except NoCoverageError:
+            crisp = None
+    if crisp is None:
         print("NO_COVERAGE")
         return EXIT_NO_COVERAGE
-    print(f"{trace['crisp']:.4f}")
+    print(f"{crisp:.4f}")
     return EXIT_OK
 
 
@@ -224,18 +229,20 @@ def cmd_compare_hw(args) -> int:
     queries = np.column_stack([
         rng.uniform(spec.min, spec.max, size=args.queries) for spec in model.input_specs
     ])
+    # the ideal answers do not depend on epsilon
+    ideals = []
+    for q in queries:
+        try:
+            ideals.append(infer(model, q))
+        except NoCoverageError:
+            ideals.append(None)
+    uncovered = ideals.count(None)
     results = []
     for eps in epsilons:
         hw = program_from_model(model, eps, params, prog, cfg.hw_v_read, cfg.hw_diode_drop)
         devs = []
         underflows = 0
-        uncovered = 0
-        for q in queries:
-            try:
-                ideal = infer(model, q)
-            except NoCoverageError:
-                ideal = None
-                uncovered += 1
+        for q, ideal in zip(queries, ideals):
             try:
                 analog = crossbar_infer(hw, q)
             except DividerUnderflowError:
@@ -266,10 +273,9 @@ def cmd_dump_plane(args) -> int:
     model = load_model(args.model)
     if not 1 <= args.group <= len(model.groups):
         raise ValueError(f"group {args.group} outside 1..{len(model.groups)}")
-    group = model.groups[args.group - 1]
-    if not 1 <= args.plane <= len(group.planes):
-        raise ValueError(f"plane {args.plane} outside 1..{len(group.planes)}")
-    plane_to_csv(group.planes[args.plane - 1], args.out)
+    if not 1 <= args.plane <= model.n_inputs:
+        raise ValueError(f"plane {args.plane} outside 1..{model.n_inputs}")
+    plane_to_csv(model.plane(args.group - 1, args.plane - 1), args.out)
     print(f"plane {args.plane} of group {args.group} written to {args.out}")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ the same number of grid cells regardless of the raw units of the variable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class QuantizationSpec:
     levels: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"range bounds must be finite, got [{self.min}, {self.max}]")
         if not self.max > self.min:
             raise ValueError(f"max must exceed min, got [{self.min}, {self.max}]")
         if self.levels < 2:
@@ -40,19 +43,24 @@ class StainRadii:
     radius_out: float
 
     def __post_init__(self):
-        if self.radius_in <= 0 or self.radius_out <= 0:
+        if not (self.radius_in > 0 and self.radius_out > 0):
             raise ValueError(f"radii must be positive, got {self.radius_in}, {self.radius_out}")
 
 
 def quantize(spec: QuantizationSpec, x: float) -> int:
-    """Nearest level index in 1..n for ``x``; out-of-range values clamp."""
+    """Nearest level index in 1..n for ``x``, ties to the even level.  Values
+    out of range clamp to the edge level, -inf and +inf too; NaN raises ValueError."""
     t = (x - spec.min) / (spec.max - spec.min) * (spec.levels - 1)
-    return int(np.clip(np.rint(t), 0, spec.levels - 1)) + 1
+    if t != t:
+        raise ValueError("NaN has no quantization level")
+    return int(round(min(max(t, 0.0), spec.levels - 1))) + 1
 
 
 def quantize_many(spec: QuantizationSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`quantize`; returns an int64 array of level indices."""
     t = (np.asarray(xs, dtype=float) - spec.min) / (spec.max - spec.min) * (spec.levels - 1)
+    if np.isnan(t).any():
+        raise ValueError("NaN has no quantization level")
     return np.clip(np.rint(t), 0, spec.levels - 1).astype(np.int64) + 1
 
 

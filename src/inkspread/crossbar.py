@@ -227,10 +227,6 @@ class CrossbarArray:
     def memristance_grid(self) -> np.ndarray:
         return _memristance_of_w(self.w, self.params)
 
-    def cell(self, row: int, col: int) -> MemristorState:
-        """Snapshot of one device's state (1-based row/col)."""
-        return MemristorState(float(self.w[row - 1, col - 1]), self.params)
-
 
 def read_confidence(array: CrossbarArray, col: int, row: int) -> float:
     """Op-amp readout of one cell, normalized by v_read.
@@ -388,10 +384,6 @@ class HardwareModel:
     reports: list[list[ProgrammingReport]] = field(default_factory=list)
 
     @property
-    def n_groups(self) -> int:
-        return len(self.group_arrays)
-
-    @property
     def worst_residual(self) -> float:
         return max(
             (r.max_abs_residual for row in self.reports for r in row),
@@ -412,11 +404,13 @@ def program_from_model(
     group_arrays: list[list[CrossbarArray]] = []
     reports: list[list[ProgrammingReport]] = []
     n_y = model.output_spec.levels
-    for group in model.groups:
+    stacks = model.input_stacks()
+    for g in range(len(model.groups)):
         arrays = []
         row_reports = []
-        for plane in group.planes:
-            arr = CrossbarArray(n_y, plane.input_spec.levels, params, v_read, diode_drop)
+        for spec, stack in zip(model.input_specs, stacks):
+            plane = IdsPlane(spec, model.output_spec, stack[g])
+            arr = CrossbarArray(n_y, spec.levels, params, v_read, diode_drop)
             if exact:
                 program_plane_exact(arr, plane)
             else:

@@ -1,25 +1,37 @@
 """Model evaluation: min across planes, max across groups, weighted-sum defuzzifier.
 
-A query is quantized per input variable, each plane is read at its (input
-level, output level) cell, the per-group confidence at an output level is the
-min over that group's planes, and the model confidence is the max over
-groups.  The crisp output is the confidence-weighted mean of the output
-level values; when every confidence is zero there is no crisp output and
-``NoCoverageError`` is raised instead of returning NaN.
+A query is quantized per input variable.  Plane j of a group holds, at the
+query's level q_j and output level t, ``max(0, max_s min(a_sj, R_s(t)))``
+over the group's stains s, with ``a_sj = 1 - |q_j - c_sj| / radius_in`` and
+``R_s(t) = 1 - |t - o_s| / radius_out``.  A group's confidence is the min
+over its planes, the model's the max over groups.  The crisp output is the
+confidence-weighted mean of the output level values; when every confidence
+is zero there is no crisp output and ``NoCoverageError`` is raised.
+
+One kernel reads every path's confidences off the stains.  Min distributes
+over max, so a group is the max, over each choice of one stain per plane,
+of ``min(A, R_lo(t), R_hi(t))``: A is the min of the chosen ``a_sj``, and
+lo and hi are the extreme output levels chosen.  The kernel keeps the best
+A per (lo, hi) pair and reads every level off the pairs.  Only min and max
+of the values ``diffuse`` writes are taken, so it is bitwise equal to dense
+planes.  A group of S stains has S^J choices over J planes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import quantize, quantize_many
+from .core import level_values, quantize, quantize_many
 from .errors import NoCoverageError
 
 if TYPE_CHECKING:
-    from .model import IdsGroup, IdsPlane, Model
+    from .model import Model
+
+_STEP_ELEMENTS = 1 << 21  # bounds a kernel step's largest array; the chunk shrinks to fit
 
 
 @dataclass(frozen=True)
@@ -34,37 +46,68 @@ class FuzzyOutput:
         return list(zip(self.level_values.tolist(), self.confidences.tolist()))
 
 
-def plane_confidence(plane: "IdsPlane", x: float, y_level: int) -> float:
-    """Grid value at the quantized input level of ``x`` and the given output level."""
-    return float(plane.grid[quantize(plane.input_spec, x) - 1, y_level - 1])
+def _pair_plan(model: "Model"):
+    """The query-free half of the kernel: stain input levels (S, J); the
+    stain each choice reads per plane (C, J), sorted by (lo, hi) pair; where
+    each pair's choices start (P,); each pair's ``min(R_lo, R_hi)`` (P, n_out)."""
+    c_in, c_out, sizes = model.stains()
+    n_j, n_y = model.n_inputs, model.output_spec.levels
+    first = np.cumsum(sizes) - sizes
+    parts = [np.zeros((0, n_j), dtype=np.int64)]
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        pattern = np.indices((size,) * n_j).reshape(n_j, -1).T
+        parts.append((first[sizes == size][:, None, None] + pattern).reshape(-1, n_j))
+    choice = np.concatenate(parts)
+    lo, hi = c_out[choice].min(axis=1), c_out[choice].max(axis=1)
+    # R_lo and R_hi peak together at 1 - ceil((hi - lo) / 2) / radius_out;
+    # a choice whose peak is not above 0 adds nothing to any level
+    live = 1.0 - ((hi - lo + 1) // 2) / model.radii.radius_out > 0.0
+    keys, pair = np.unique((lo * (n_y + 1) + hi)[live], return_inverse=True)
+    choice = choice[live][np.argsort(pair, kind="stable")]
+    counts = np.bincount(pair, minlength=len(keys))
+    t, r_out = np.arange(1, n_y + 1), model.radii.radius_out
+    ramp = np.minimum(1.0 - np.abs(t - keys[:, None] // (n_y + 1)) / r_out,
+                      1.0 - np.abs(t - keys[:, None] % (n_y + 1)) / r_out)
+    return c_in, choice, np.cumsum(counts) - counts, ramp
 
 
-def group_confidence(group: "IdsGroup", x, y_level: int) -> float:
-    """Min over the group's planes; one plane reading zero zeroes the group."""
-    return min(plane_confidence(p, xi, y_level) for p, xi in zip(group.planes, x))
-
-
-def _group_rows(model: "Model", x) -> tuple[list[int], np.ndarray]:
-    """Quantized input indices (0-based) and the (n_groups, n_out) confidence rows."""
-    idx = [quantize(spec, xi) - 1 for spec, xi in zip(model.input_specs, x)]
-    n_y = model.output_spec.levels
-    rows = np.zeros((len(model.groups), n_y))
-    for g_i, group in enumerate(model.groups):
-        row = group.planes[0].grid[idx[0], :]
+def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
+    """The kernel: (B, n_out) confidences at the quantized queries ``levels``
+    (B, J), at most ``chunk`` queries at a time."""
+    rows = np.zeros((len(levels), model.output_spec.levels))
+    c_in, choice, starts, ramp = _pair_plan(model)
+    if not len(starts):
+        return rows
+    # a_sj at each level the queries hold on plane j: (held levels, S)
+    held = [np.unique(levels[:, j], return_inverse=True) for j in range(model.n_inputs)]
+    ramps_in = [1.0 - np.abs(u[:, None] - c_in[:, j]) / model.radii.radius_in
+                for j, (u, _) in enumerate(held)]
+    step = max(1, min(chunk, _STEP_ELEMENTS // max(c_in.size, len(choice), ramp.size)))
+    for lo in range(0, len(levels), step):
+        best = ramps_in[0][held[0][1][lo:lo + step]][:, choice[:, 0]]
         for j in range(1, model.n_inputs):
-            row = np.minimum(row, group.planes[j].grid[idx[j], :])
-        rows[g_i] = row
-    return idx, rows
+            np.minimum(best, ramps_in[j][held[j][1][lo:lo + step]][:, choice[:, j]], out=best)
+        pair_best = np.maximum.reduceat(best, starts, axis=1)
+        # a pair whose best A is not above 0 for any query here adds nothing
+        live = (pair_best > 0.0).any(axis=0)
+        np.minimum(pair_best[:, live, None], ramp[live]).max(axis=1, initial=0.0, out=rows[lo:lo + step])
+    return rows
+
+
+def _query_levels(model: "Model", x) -> list[int]:
+    xs = [float(v) for v in x]
+    if len(xs) != model.n_inputs:
+        raise ValueError(f"query has {len(xs)} inputs, model expects {model.n_inputs}")
+    for j, v in enumerate(xs, start=1):
+        if math.isnan(v):
+            raise ValueError(f"query input {j} is NaN")
+    return [quantize(spec, v) for spec, v in zip(model.input_specs, xs)]
 
 
 def infer_fuzzy(model: "Model", x) -> FuzzyOutput:
     """Confidence in each output level for the query ``x``."""
-    x = _check_query(model, x)
-    n_y = model.output_spec.levels
-    if not model.groups:
-        return FuzzyOutput(model.output_level_values(), np.zeros(n_y))
-    _, rows = _group_rows(model, x)
-    return FuzzyOutput(model.output_level_values(), rows.max(axis=0))
+    levels = np.array([_query_levels(model, x)], dtype=np.int64)
+    return FuzzyOutput(level_values(model.output_spec), _confidences(model, levels, 1)[0])
 
 
 def defuzzify_wsf(fz: FuzzyOutput) -> float:
@@ -81,7 +124,7 @@ def defuzzify_wsf(fz: FuzzyOutput) -> float:
 
 
 def infer(model: "Model", x) -> float:
-    """Crisp output for one query; raises NoCoverageError off the stained region."""
+    """Crisp output for one query; NoCoverageError off the stains, ValueError on NaN."""
     return defuzzify_wsf(infer_fuzzy(model, x))
 
 
@@ -89,24 +132,18 @@ def infer_many_fuzzy(model: "Model", X: np.ndarray, chunk: int = 64) -> np.ndarr
     """Batch confidences: row ``b`` is the model's confidence in each output
     level for query ``X[b]``, shaped (batch, n_out).
 
-    Queries are processed in chunks against per-input plane stacks to bound
-    the (n_groups, chunk, n_out) intermediate.
+    Queries are processed in chunks of at most ``chunk`` to bound the
+    kernel's intermediates.  A query with a NaN input has no level, so its
+    row is all zero (uncovered); the other rows do not depend on it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"expected queries shaped (batch, {model.n_inputs}), got {X.shape}")
-    n_q = X.shape[0]
-    rows = np.zeros((n_q, model.output_spec.levels))
-    if not model.groups:
-        return rows
-    stacks = model.input_stacks()
-    for lo in range(0, n_q, chunk):
-        sl = slice(lo, min(lo + chunk, n_q))
-        idx = [quantize_many(spec, X[sl, j]) - 1 for j, spec in enumerate(model.input_specs)]
-        conf = stacks[0][:, idx[0], :]
-        for j in range(1, model.n_inputs):
-            np.minimum(conf, stacks[j][:, idx[j], :], out=conf)
-        conf.max(axis=0, out=rows[sl])
+    nan = np.isnan(X).any(axis=1)
+    X = np.where(nan[:, None], [spec.min for spec in model.input_specs], X)
+    levels = np.column_stack([quantize_many(spec, X[:, j]) for j, spec in enumerate(model.input_specs)])
+    rows = _confidences(model, levels, chunk)
+    rows[nan] = 0.0
     return rows
 
 
@@ -129,7 +166,7 @@ def infer_many(model: "Model", X: np.ndarray, chunk: int = 64) -> tuple[np.ndarr
     Returns ``(values, covered)`` where ``values[b]`` is the crisp output or
     NaN and ``covered[b]`` says whether any confidence was nonzero.
     """
-    return defuzzify_many(infer_many_fuzzy(model, X, chunk), model.output_level_values())
+    return defuzzify_many(infer_many_fuzzy(model, X, chunk), level_values(model.output_spec))
 
 
 def infer_trace(model: "Model", x) -> dict:
@@ -137,37 +174,29 @@ def infer_trace(model: "Model", x) -> dict:
 
     Keys: inputs, input_levels, plane_confidences[group][level][plane],
     group_confidences[group][level], level_values, confidences, crisp,
-    no_coverage.
+    no_coverage.  The tables are read off each group's stains the way
+    ``diffuse`` writes a plane; the confidences, which equal the max over
+    groups of ``group_confidences``, and the crisp value come from the kernel.
     """
-    x = _check_query(model, x)
-    idx = [quantize(spec, xi) - 1 for spec, xi in zip(model.input_specs, x)]
+    levels = _query_levels(model, x)
+    c_in, c_out, sizes = model.stains()
     n_y = model.output_spec.levels
-    plane_conf = [
-        [[float(p.grid[q, t]) for p, q in zip(group.planes, idx)] for t in range(n_y)]
-        for group in model.groups
-    ]
-    group_conf = [[min(level) for level in group] for group in plane_conf]
+    a = 1.0 - np.abs(np.array(levels) - c_in) / model.radii.radius_in
+    r = 1.0 - np.abs(np.arange(1, n_y + 1) - c_out[:, None]) / model.radii.radius_out
+    planes = np.zeros((len(sizes), n_y, model.n_inputs))
+    np.maximum.at(planes, np.repeat(np.arange(len(sizes)), sizes), np.minimum(a[:, None], r[..., None]))
     fz = infer_fuzzy(model, x)
     try:
         crisp = defuzzify_wsf(fz)
-        no_coverage = False
     except NoCoverageError:
         crisp = None
-        no_coverage = True
     return {
         "inputs": [float(v) for v in x],
-        "input_levels": [q + 1 for q in idx],
-        "plane_confidences": plane_conf,
-        "group_confidences": group_conf,
+        "input_levels": levels,
+        "plane_confidences": planes.tolist(),
+        "group_confidences": planes.min(axis=2).tolist(),
         "level_values": fz.level_values.tolist(),
         "confidences": fz.confidences.tolist(),
         "crisp": crisp,
-        "no_coverage": no_coverage,
+        "no_coverage": crisp is None,
     }
-
-
-def _check_query(model: "Model", x) -> list[float]:
-    xs = [float(v) for v in x]
-    if len(xs) != model.n_inputs:
-        raise ValueError(f"query has {len(xs)} inputs, model expects {model.n_inputs}")
-    return xs

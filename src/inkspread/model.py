@@ -1,11 +1,12 @@
-"""Ink-drop-spread planes, plane groups, and training policies.
+"""Stains, plane groups, and training policies.
 
-A plane is a dense grid over (input level, output level) holding confidence
-degrees.  Training a sample means diffusing a pyramid stain centered on the
-sample's quantized (input, output) pair onto one plane per input variable;
-the planes written by one sample form a group.  Overlapping stains combine
-by cellwise max, which keeps every cell in [0,1] and makes diffusion
-commutative and idempotent.
+Training a sample quantizes it into one stain: its level on every input
+axis and its output level.  The stains of a group share one plane per input
+variable, a dense grid over (input level, output level) holding the
+cellwise max of pyramid tents centred on the stains; max keeps every cell
+in [0,1] and makes a plane independent of stain order.  A model is its
+stain list.  ``Model.plane`` and ``Model.input_stacks`` derive planes on
+demand with ``diffuse``; inference reads the stains directly.
 
 Two training policies are provided: ``train_full`` allocates one group per
 sample, and ``train_error_gated`` allocates a group only when the current
@@ -17,11 +18,12 @@ memory-reduced layout packs several samples into one group via
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuantizationSpec, StainRadii, level_values, quantize
+from .core import QuantizationSpec, StainRadii, quantize
 from .errors import EqualOutputConflict, NoCoverageError
 
 
@@ -50,35 +52,23 @@ class IdsPlane:
         if self.grid.shape != expected:
             raise ValueError(f"grid shape {self.grid.shape} does not match specs {expected}")
 
-    def copy(self) -> "IdsPlane":
-        return IdsPlane(self.input_spec, self.output_spec, self.grid.copy())
-
 
 def empty_plane(input_spec: QuantizationSpec, output_spec: QuantizationSpec) -> IdsPlane:
     return IdsPlane(input_spec, output_spec, np.zeros((input_spec.levels, output_spec.levels)))
 
 
-@dataclass
+@dataclass(slots=True)
 class IdsGroup:
-    """One plane per input variable plus the set of output levels stored so far.
-
-    The level set is what lets a group refuse a second sample with the same
-    output level: storing both would erase which inputs belonged together.
+    """Stains sharing one plane per input variable, each a pair (input levels,
+    output level).  Output levels are distinct within a group, since two
+    apices on one output row could not be told apart at inference time.
     """
 
-    planes: list[IdsPlane]
-    stored_output_levels: set[int] = field(default_factory=set)
+    stains: list[tuple[tuple[int, ...], int]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.planes:
-            raise ValueError("a group needs at least one plane")
-        out = self.planes[0].output_spec
-        if any(p.output_spec != out for p in self.planes[1:]):
-            raise ValueError("all planes of a group must share one output spec")
-
-
-def empty_group(input_specs: list[QuantizationSpec], output_spec: QuantizationSpec) -> IdsGroup:
-    return IdsGroup([empty_plane(spec, output_spec) for spec in input_specs])
+        if len({c_out for _, c_out in self.stains}) != len(self.stains):
+            raise ValueError(f"output levels repeat within one group: {self.stains}")
 
 
 @dataclass
@@ -89,46 +79,46 @@ class Model:
     radii: StainRadii
 
     def __post_init__(self):
-        self._stacks = None
-        self._level_values = None
+        for group in self.groups:
+            self._check_group(group)
 
     @property
     def n_inputs(self) -> int:
         return len(self.input_specs)
 
-    def output_level_values(self) -> np.ndarray:
-        """Raw output values of levels 1..n_y, cached."""
-        if self._level_values is None:
-            self._level_values = level_values(self.output_spec)
-        return self._level_values
+    def _check_group(self, group: IdsGroup) -> None:
+        axes = [spec.levels for spec in [*self.input_specs, self.output_spec]]
+        for c_in, c_out in group.stains:
+            stain = (*c_in, c_out)
+            if len(stain) != len(axes) or not all(1 <= c <= n for c, n in zip(stain, axes)):
+                raise ValueError(f"stain levels {stain} lie outside the model's {axes} level axes")
 
     def append_group(self, group: IdsGroup) -> None:
-        if len(group.planes) != self.n_inputs:
-            raise ValueError(f"group has {len(group.planes)} planes, model expects {self.n_inputs}")
-        for plane, spec in zip(group.planes, self.input_specs):
-            if plane.input_spec != spec or plane.output_spec != self.output_spec:
-                raise ValueError("group plane specs do not match the model's specs")
+        self._check_group(group)
         self.groups.append(group)
-        self._stacks = None
+
+    def stains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every stain as arrays, group by group: input levels (S, n_inputs),
+        output levels (S,) and the number of stains in each group (n_groups,)."""
+        c_in = [c for g in self.groups for levels, _ in g.stains for c in levels]
+        c_out = [c for g in self.groups for _, c in g.stains]
+        return (np.array(c_in, dtype=np.int64).reshape(len(c_out), self.n_inputs),
+                np.array(c_out, dtype=np.int64),
+                np.array([len(g.stains) for g in self.groups], dtype=np.int64))
+
+    def plane(self, g: int, j: int) -> IdsPlane:
+        """Plane ``j`` of group ``g`` (0-based), derived by diffusing the group's stains."""
+        plane = empty_plane(self.input_specs[j], self.output_spec)
+        for c_in, c_out in self.groups[g].stains:
+            diffuse(plane, c_in[j], c_out, self.radii)
+        return plane
 
     def input_stacks(self) -> list[np.ndarray]:
-        """Per input variable, all group planes stacked as (n_groups, n_in, n_out).
-
-        Built lazily for batch inference.  Each plane's grid is re-bound to its
-        slice of the stack so the model does not hold two copies of the data.
-        """
-        if self._stacks is None:
-            stacks = []
-            for j, spec in enumerate(self.input_specs):
-                if self.groups:
-                    stack = np.stack([g.planes[j].grid for g in self.groups])
-                    for g, view in zip(self.groups, stack):
-                        g.planes[j].grid = view
-                else:
-                    stack = np.zeros((0, spec.levels, self.output_spec.levels))
-                stacks.append(stack)
-            self._stacks = stacks
-        return self._stacks
+        """Per input variable, every group's plane stacked as (n_groups, n_in,
+        n_out); derived on every call and not kept."""
+        n_g, n_y = len(self.groups), self.output_spec.levels
+        return [np.array([self.plane(g, j).grid for g in range(n_g)]).reshape(n_g, spec.levels, n_y)
+                for j, spec in enumerate(self.input_specs)]
 
 
 def diffuse(plane: IdsPlane, center_in: int, center_out: int, radii: StainRadii) -> IdsPlane:
@@ -162,18 +152,11 @@ def _check_samples(samples: list[Sample], input_specs: list[QuantizationSpec]) -
             raise ValueError(f"sample {k} has {len(s.inputs)} inputs, expected {n}")
 
 
-def _group_from_sample(
-    sample: Sample,
-    input_specs: list[QuantizationSpec],
-    output_spec: QuantizationSpec,
-    radii: StainRadii,
-) -> IdsGroup:
-    group = empty_group(input_specs, output_spec)
-    y_level = quantize(output_spec, sample.output)
-    for plane, x in zip(group.planes, sample.inputs):
-        diffuse(plane, quantize(plane.input_spec, x), y_level, radii)
-    group.stored_output_levels.add(y_level)
-    return group
+def _stain(sample: Sample, input_specs: list[QuantizationSpec],
+           output_spec: QuantizationSpec) -> tuple[tuple[int, ...], int]:
+    """A sample's stain: its input levels and its output level."""
+    return (tuple(quantize(spec, x) for spec, x in zip(input_specs, sample.inputs)),
+            quantize(output_spec, sample.output))
 
 
 def train_full(
@@ -186,7 +169,7 @@ def train_full(
     _check_samples(samples, input_specs)
     model = Model([], list(input_specs), output_spec, radii)
     for s in samples:
-        model.append_group(_group_from_sample(s, model.input_specs, output_spec, radii))
+        model.append_group(IdsGroup([_stain(s, model.input_specs, output_spec)]))
     return model
 
 
@@ -216,7 +199,7 @@ def train_error_gated(
             except NoCoverageError:
                 needs_group = True
         if needs_group:
-            model.append_group(_group_from_sample(s, model.input_specs, output_spec, radii))
+            model.append_group(IdsGroup([_stain(s, model.input_specs, output_spec)]))
     return model
 
 
@@ -226,31 +209,26 @@ def train_merged(
     output_spec: QuantizationSpec,
     radii: StainRadii,
 ) -> Model:
-    """Memory-reduced policy: pack samples into shared groups greedily.
+    """Memory-reduced policy: pack samples into shared groups by first fit.
 
-    Each sample goes into the first existing group that does not already
-    store its output level; only when every group refuses is a new group
-    allocated.  Worst case (all outputs at one level) degenerates to one
-    group per sample, best case needs only as many groups as the most
-    popular output level has samples.
+    Each sample goes into the first group that does not already store its
+    output level; only when every group refuses is a new group allocated.
+    Under that rule the k-th sample at an output level always lands in
+    group k, because groups 0..k-1 already hold the level, so the group is
+    found by counting instead of by trying.  Worst case (all outputs at one
+    level) degenerates to one group per sample, best case needs only as many
+    groups as the most popular output level has samples.
     """
     _check_samples(samples, input_specs)
     model = Model([], list(input_specs), output_spec, radii)
+    seen: Counter[int] = Counter()
     for s in samples:
-        placed = False
-        for group in model.groups:
-            try:
-                merge_into_group(group, s, model.input_specs, output_spec, radii)
-                placed = True
-                break
-            except EqualOutputConflict:
-                continue
-        if placed:
-            model._stacks = None
-        else:
-            group = empty_group(model.input_specs, output_spec)
-            merge_into_group(group, s, model.input_specs, output_spec, radii)
-            model.append_group(group)
+        level = quantize(output_spec, s.output)
+        k = seen[level]
+        seen[level] += 1
+        if k == len(model.groups):
+            model.append_group(IdsGroup())
+        merge_into_group(model.groups[k], s, model.input_specs, output_spec)
     return model
 
 
@@ -259,25 +237,20 @@ def merge_into_group(
     sample: Sample,
     input_specs: list[QuantizationSpec],
     output_spec: QuantizationSpec,
-    radii: StainRadii,
 ) -> IdsGroup:
-    """Add a sample to an existing group, provided its output level is new.
+    """Add a sample's stain to an existing group, provided its output level is new.
 
     Raises EqualOutputConflict when the sample's quantized output level is
     already stored, since two apices on one output row cannot be told apart
-    at inference time.  An empty group (no planes yet) accepts any sample.
+    at inference time.  An empty group accepts any sample.
     """
     if len(sample.inputs) != len(input_specs):
         raise ValueError(f"sample has {len(sample.inputs)} inputs, expected {len(input_specs)}")
-    if not group.planes:
-        group.planes = [empty_plane(spec, output_spec) for spec in input_specs]
-    y_level = quantize(output_spec, sample.output)
-    if y_level in group.stored_output_levels:
+    stain = _stain(sample, input_specs, output_spec)
+    if stain[1] in (c_out for _, c_out in group.stains):
         raise EqualOutputConflict(
-            f"output level {y_level} already stored in this group; "
+            f"output level {stain[1]} already stored in this group; "
             f"samples with equal output levels need separate groups"
         )
-    for plane, x in zip(group.planes, sample.inputs):
-        diffuse(plane, quantize(plane.input_spec, x), y_level, radii)
-    group.stored_output_levels.add(y_level)
+    group.stains.append(stain)
     return group

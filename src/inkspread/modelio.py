@@ -1,22 +1,20 @@
 """Flat-file model serialization and plane CSV export.
 
-Binary layout (all little-endian):
+Binary layout, format version 2 (all little-endian):
 
     magic   4 bytes  b"IDSM"
-    version u32      currently 1
-    n_inputs u32, n_groups u32
+    version u32      2
+    n_inputs u32, n_groups u32, n_stains u32
     output spec      min f64, max f64, levels u32
     input specs      n_inputs x (min f64, max f64, levels u32)
     radii            radius_in f64, radius_out f64
-    per group:
-        n_levels u32, then n_levels x u32 stored output levels
-        per input variable, the plane grid as row-major float32
-        (n_in x n_out values)
+    group sizes      n_groups x u32, summing to n_stains
+    stains           n_stains x u32 levels (inputs, then output), group by group
 
-Grids are held in memory as float64 but stored as float32, so a save/load
-round trip quantizes cell values to single precision.  The stored output
-level sets ride along in the header of each group; without them a reloaded
-model could not refuse an equal-output merge.
+A model is its stain list, so a round trip is exact.  The header counts fix
+the file length, which is checked before anything else is read; the model
+then rejects levels off their axes and output levels repeated in a group.
+Version 1 files (dense float32 planes) are refused: retrain the model.
 """
 
 from __future__ import annotations
@@ -30,66 +28,52 @@ from .core import QuantizationSpec, StainRadii
 from .model import IdsGroup, IdsPlane, Model
 
 MAGIC = b"IDSM"
-VERSION = 1
-
-
-def _pack_spec(spec: QuantizationSpec) -> bytes:
-    return struct.pack("<ddI", spec.min, spec.max, spec.levels)
-
-
-def _unpack_spec(buf: memoryview, off: int) -> tuple[QuantizationSpec, int]:
-    lo, hi, levels = struct.unpack_from("<ddI", buf, off)
-    return QuantizationSpec(lo, hi, levels), off + struct.calcsize("<ddI")
+VERSION = 2
+_HEAD = struct.Struct("<4sIIII")  # magic, version, n_inputs, n_groups, n_stains
+_SPEC = struct.Struct("<ddI")
+_RADII = struct.Struct("<dd")
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    parts = [MAGIC, struct.pack("<III", VERSION, model.n_inputs, len(model.groups))]
-    parts.append(_pack_spec(model.output_spec))
-    for spec in model.input_specs:
-        parts.append(_pack_spec(spec))
-    parts.append(struct.pack("<dd", model.radii.radius_in, model.radii.radius_out))
-    for group in model.groups:
-        levels = sorted(group.stored_output_levels)
-        parts.append(struct.pack(f"<I{len(levels)}I", len(levels), *levels))
-        for plane in group.planes:
-            parts.append(np.ascontiguousarray(plane.grid, dtype="<f4").tobytes())
+    sizes = [len(g.stains) for g in model.groups]
+    stains = [c_in + (c_out,) for g in model.groups for c_in, c_out in g.stains]
+    parts = [_HEAD.pack(MAGIC, VERSION, model.n_inputs, len(sizes), len(stains))]
+    parts += [_SPEC.pack(s.min, s.max, s.levels) for s in [model.output_spec, *model.input_specs]]
+    parts.append(_RADII.pack(model.radii.radius_in, model.radii.radius_out))
+    parts.append(np.array(sizes, dtype="<u4").tobytes())
+    parts.append(np.array(stains, dtype="<u4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
 def load_model(path: str | Path) -> Model:
+    """Read a version 2 model file; any malformed file raises ValueError."""
     raw = Path(path).read_bytes()
-    buf = memoryview(raw)
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a model file (bad magic {raw[:4]!r})")
-    version, n_inputs, n_groups = struct.unpack_from("<III", buf, 4)
+    if len(raw) < _HEAD.size:
+        raise ValueError(f"{path}: truncated inside the header ({len(raw)} bytes)")
+    _, version, n_inputs, n_groups, n_stains = _HEAD.unpack_from(raw)
     if version != VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    off = 4 + struct.calcsize("<III")
-    output_spec, off = _unpack_spec(buf, off)
-    input_specs = []
-    for _ in range(n_inputs):
-        spec, off = _unpack_spec(buf, off)
-        input_specs.append(spec)
-    r_in, r_out = struct.unpack_from("<dd", buf, off)
-    off += struct.calcsize("<dd")
-    radii = StainRadii(r_in, r_out)
-    n_out = output_spec.levels
-    groups = []
-    for _ in range(n_groups):
-        (n_levels,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        stored = set(struct.unpack_from(f"<{n_levels}I", buf, off))
-        off += 4 * n_levels
-        planes = []
-        for spec in input_specs:
-            count = spec.levels * n_out
-            grid = np.frombuffer(buf, dtype="<f4", count=count, offset=off)
-            off += 4 * count
-            planes.append(IdsPlane(spec, output_spec, grid.reshape(spec.levels, n_out).astype(float)))
-        groups.append(IdsGroup(planes, stored))
-    if off != len(raw):
-        raise ValueError(f"{path}: {len(raw) - off} trailing bytes after last grid")
-    return Model(groups, input_specs, output_spec, radii)
+        raise ValueError(f"{path}: unsupported format version {version} (version 1 held dense planes: retrain)")
+    if n_inputs == 0:
+        raise ValueError(f"{path}: a model needs at least one input")
+    width = n_inputs + 1
+    size = _HEAD.size + width * _SPEC.size + _RADII.size + 4 * n_groups + 4 * width * n_stains
+    if len(raw) < size:
+        raise ValueError(f"{path}: truncated: {len(raw)} bytes, its header announces {size}")
+    if len(raw) > size:
+        raise ValueError(f"{path}: {len(raw) - size} trailing bytes after the last stain")
+    specs = [QuantizationSpec(*_SPEC.unpack_from(raw, _HEAD.size + k * _SPEC.size)) for k in range(width)]
+    off = _HEAD.size + width * _SPEC.size + _RADII.size
+    radii = StainRadii(*_RADII.unpack_from(raw, off - _RADII.size))
+    sizes = np.frombuffer(raw, dtype="<u4", count=n_groups, offset=off).tolist()
+    if sum(sizes) != n_stains:
+        raise ValueError(f"{path}: group sizes add up to {sum(sizes)}, the header announces {n_stains}")
+    rows = np.frombuffer(raw, dtype="<u4", count=width * n_stains, offset=off + 4 * n_groups)
+    rows = rows.reshape(n_stains, width).tolist()
+    ends = np.cumsum(sizes).tolist()
+    groups = [IdsGroup([(tuple(r[:-1]), r[-1]) for r in rows[e - n:e]]) for n, e in zip(sizes, ends)]
+    return Model(groups, specs[1:], specs[0], radii)
 
 
 def plane_to_csv(plane: IdsPlane, path: str | Path) -> None:

@@ -6,6 +6,9 @@ things down without testing anything extra.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,9 +59,8 @@ class TestTrain:
         captured = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "groups: 2 (from 2 samples, policy full)" in captured
-        # 2 groups x 2 planes x 19x2 cells
-        assert "plane cells: 152" in captured
         assert out.exists() and out.stat().st_size > 0
+        assert f"stains: 2 ({out.stat().st_size} bytes on disk)" in captured
 
     def test_set_overrides_config_file(self, workdir, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(workdir / "run.conf"),
@@ -138,6 +140,40 @@ class TestInfer:
         rc = cli.main(["infer", "--model", str(tmp_path / "absent.ids"), "1", "1"])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_trace_does_not_change_stdout_or_exit_code(self, model_path, tmp_path, capsys):
+        for query in (["2.5", "3.5"], ["9.0", "9.0"], ["1.0", "10.0"]):
+            plain = cli.main(["infer", "--model", str(model_path)] + query)
+            plain_out = capsys.readouterr().out
+            traced = cli.main(["infer", "--model", str(model_path),
+                               "--trace", str(tmp_path / "t.json")] + query)
+            assert (traced, capsys.readouterr().out) == (plain, plain_out)
+
+    def test_nan_query_exits_2(self, model_path, capsys):
+        rc = cli.main(["infer", "--model", str(model_path), "2.5", "nan"])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.err == "error: query input 2 is NaN\n"
+        assert captured.out == ""
+
+    def test_truncated_model_exits_2_at_every_offset(self, model_path, tmp_path, capsys):
+        raw = model_path.read_bytes()
+        cut_path = tmp_path / "cut.ids"
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            rc = cli.main(["infer", "--model", str(cut_path), "2.5", "3.5"])
+            captured = capsys.readouterr()
+            assert rc == EXIT_INPUT, cut
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1, cut
+            assert "Traceback" not in captured.err
+        # and as a process: one line on stderr, no traceback
+        cut_path.write_bytes(raw[:30])
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-m", "inkspread.cli", "infer", "--model",
+                               str(cut_path), "2.5", "3.5"], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
 
 class TestDumpPlane:

@@ -44,6 +44,26 @@ class TestQuantize:
         vec = quantize_many(spec, xs)
         assert vec.tolist() == [quantize(spec, float(x)) for x in xs]
 
+    @given(spec_strategy(), st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    def test_scalar_path_matches_vector_path_everywhere(self, spec, xs):
+        half_levels = [spec.min + (k + 0.5) * spec.step for k in range(-1, spec.levels)]
+        xs = xs + half_levels
+        with np.errstate(over="ignore"):  # huge values overflow to inf and clamp
+            vec = quantize_many(spec, np.array(xs))
+        assert vec.tolist() == [quantize(spec, x) for x in xs]
+
+    def test_infinities_clamp_to_the_edge_levels(self):
+        spec = QuantizationSpec(1, 10, 128)
+        assert quantize(spec, float("inf")) == 128 and quantize(spec, float("-inf")) == 1
+        assert quantize_many(spec, np.array([np.inf, -np.inf])).tolist() == [128, 1]
+
+    def test_nan_has_no_level(self):
+        spec = QuantizationSpec(1, 10, 128)
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(spec, float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            quantize_many(spec, np.array([1.0, np.nan]))
+
     @given(spec_strategy(), st.floats(-2e6, 2e6))
     def test_result_always_in_range(self, spec, x):
         assert 1 <= quantize(spec, x) <= spec.levels
@@ -97,6 +117,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuantizationSpec(5, 5, 10)
 
+    def test_infinite_or_nan_bounds_rejected(self):
+        for lo, hi in ((0, float("inf")), (float("-inf"), 1), (float("nan"), 1)):
+            with pytest.raises(ValueError):
+                QuantizationSpec(lo, hi, 10)
+
     def test_single_level_rejected(self):
         with pytest.raises(ValueError):
             QuantizationSpec(0, 1, 1)
@@ -109,6 +134,8 @@ class TestSpecValidation:
             StainRadii(0.0, 1.0)
         with pytest.raises(ValueError):
             StainRadii(1.0, -2.0)
+        with pytest.raises(ValueError):
+            StainRadii(float("nan"), 1.0)
 
 
 class TestPyramid:

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from inkspread.core import QuantizationSpec, StainRadii, dequantize
+from inkspread.core import QuantizationSpec, StainRadii, dequantize, quantize
 from inkspread.errors import NoCoverageError
 from inkspread.inference import (
     FuzzyOutput,
     defuzzify_wsf,
-    group_confidence,
     infer,
     infer_fuzzy,
     infer_many,
     infer_many_fuzzy,
     infer_trace,
-    plane_confidence,
 )
-from inkspread.model import Model, Sample, train_full
+from inkspread.model import Model, Sample, train_full, train_merged
 
 from reference import crisp_reference, fuzzy_reference
 
@@ -43,25 +41,54 @@ def random_model(rng, n_samples=6, n_inputs=2, levels=12):
     return train_full(samples, specs, out, radii), samples
 
 
+def plane_confidence(model, g, j, x, y_level):
+    """Cell of the derived dense plane j of group g at x's level and y_level."""
+    plane = model.plane(g, j)
+    return plane.grid[quantize(plane.input_spec, x) - 1, y_level - 1]
+
+
+def group_confidence(model, g, x, y_level):
+    return infer_trace(model, x)["group_confidences"][g][y_level - 1]
+
+
 class TestPlaneAndGroupConfidence:
     def test_apex_reads_one(self, worked_model):
-        assert plane_confidence(worked_model.groups[0].planes[0], 1.5, 2) == 1.0
+        assert plane_confidence(worked_model, 0, 0, 1.5, 2) == 1.0
 
     def test_second_group_first_plane(self, worked_model):
-        v = plane_confidence(worked_model.groups[1].planes[0], 2.5, 1)
+        v = plane_confidence(worked_model, 1, 0, 2.5, 1)
         assert v == pytest.approx(2 / 3)
 
     def test_outside_all_stains_reads_zero(self, worked_model):
-        assert plane_confidence(worked_model.groups[0].planes[0], 9.5, 1) == 0.0
+        assert plane_confidence(worked_model, 0, 0, 9.5, 1) == 0.0
 
     def test_group_min_of_planes(self, worked_model):
-        v = group_confidence(worked_model.groups[0], QUERY, 2)
+        v = group_confidence(worked_model, 0, QUERY, 2)
         assert v == pytest.approx(1 / 3)
-        v = group_confidence(worked_model.groups[1], QUERY, 1)
+        assert v == min(plane_confidence(worked_model, 0, j, QUERY[j], 2) for j in range(2))
+        v = group_confidence(worked_model, 1, QUERY, 1)
         assert v == pytest.approx(2 / 3)
 
     def test_zero_plane_zeroes_the_group(self, worked_model):
-        assert group_confidence(worked_model.groups[0], (9.5, 3.5), 2) == 0.0
+        assert group_confidence(worked_model, 0, (9.5, 3.5), 2) == 0.0
+
+    def test_readings_equal_derived_dense_planes(self):
+        rng = np.random.default_rng(41)
+        for merged in (False, True):
+            specs = [QuantizationSpec(0, 1, 9), QuantizationSpec(0, 1, 13)]
+            out = QuantizationSpec(0, 1, 7)
+            samples = [Sample(tuple(rng.uniform(0, 1, 2)), float(rng.uniform(0, 1)))
+                       for _ in range(12)]
+            train = train_merged if merged else train_full
+            model = train(samples, specs, out, StainRadii(2.5, 1.5))
+            for _ in range(10):
+                levels = [int(rng.integers(1, s.levels + 1)) for s in specs]
+                trace = infer_trace(model, [dequantize(s, k) for s, k in zip(specs, levels)])
+                assert trace["input_levels"] == levels
+                readings = np.array(trace["plane_confidences"])
+                for g in range(len(model.groups)):
+                    for j, q in enumerate(levels):
+                        assert np.array_equal(readings[g, :, j], model.plane(g, j).grid[q - 1])
 
 
 class TestInferFuzzy:
@@ -79,8 +106,7 @@ class TestInferFuzzy:
         solo = train_full(SAMPLES[:1], SPECS, OUT, RADII)
         fz = infer_fuzzy(solo, QUERY)
         for level in (1, 2):
-            assert fz.confidences[level - 1] == group_confidence(
-                solo.groups[0], QUERY, level)
+            assert fz.confidences[level - 1] == group_confidence(solo, 0, QUERY, level)
 
     def test_adding_a_group_never_lowers_confidence(self):
         rng = np.random.default_rng(17)
@@ -226,6 +252,40 @@ class TestInferMany:
         with pytest.raises(ValueError):
             infer_many(model, np.zeros((4, 3)))
 
+    def test_nan_query_is_uncovered_and_leaves_other_rows_alone(self, worked_model):
+        X = np.array([QUERY, (1.5, 4.0), (5.0, 5.0), (3.0, 4.0)])
+        clean_rows = infer_many_fuzzy(worked_model, X)
+        clean_values, clean_covered = infer_many(worked_model, X)
+        assert clean_covered[1] and clean_covered[3]
+        bad = X.copy()
+        bad[1, 0] = np.nan
+        bad[3] = np.nan
+        rows = infer_many_fuzzy(worked_model, bad)
+        values, covered = infer_many(worked_model, bad)
+        assert not rows[1].any() and not rows[3].any()
+        assert not covered[1] and not covered[3]
+        assert np.isnan(values[1]) and np.isnan(values[3])
+        for b in (0, 2):
+            assert np.array_equal(rows[b], clean_rows[b])
+            assert covered[b] == clean_covered[b]
+            assert np.array_equal(values[b], clean_values[b], equal_nan=True)
+
+    def test_infinite_inputs_clamp_to_the_edge_level(self, worked_model):
+        X = np.array([(np.inf, 4.0), (-np.inf, 4.0), (10.0, 4.0), (1.0, 4.0)])
+        rows = infer_many_fuzzy(worked_model, X)
+        assert np.array_equal(rows[0], rows[2]) and np.array_equal(rows[1], rows[3])
+        assert rows[1].any()
+
+
+class TestNanQuery:
+    def test_single_query_paths_name_the_input(self, worked_model):
+        for fn in (infer, infer_fuzzy, infer_trace):
+            with pytest.raises(ValueError, match="input 2 is NaN"):
+                fn(worked_model, (2.5, float("nan")))
+
+    def test_infinity_is_not_rejected(self, worked_model):
+        assert infer(worked_model, (-np.inf, 4.0)) == infer(worked_model, (1.0, 4.0))
+
 
 class TestTrace:
     def test_intermediate_values(self, worked_model):
@@ -260,6 +320,21 @@ class TestTrace:
         trace = infer_trace(model, QUERY)
         assert trace["confidences"] == [0.0, 0.0]
         assert trace["no_coverage"] is True
+
+    def test_group_maximum_equals_kernel_confidences(self):
+        rng = np.random.default_rng(42)
+        for merged in (False, True):
+            specs = [QuantizationSpec(0, 1, 11)] * 2
+            out = QuantizationSpec(0, 1, 9)
+            samples = [Sample(tuple(rng.uniform(0, 1, 2)), float(rng.uniform(0, 1)))
+                       for _ in range(15)]
+            train = train_merged if merged else train_full
+            model = train(samples, specs, out, StainRadii(3.0, 2.0))
+            for q in rng.uniform(-0.1, 1.1, size=(20, 2)):
+                trace = infer_trace(model, q)
+                group_max = np.max(trace["group_confidences"], axis=0)
+                assert np.array_equal(group_max, trace["confidences"])
+                assert np.array_equal(group_max, infer_many_fuzzy(model, q[None])[0])
 
     def test_trace_is_json_serializable(self, worked_model):
         import json

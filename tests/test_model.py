@@ -1,4 +1,4 @@
-"""Plane diffusion, group assembly, and the three training policies."""
+"""Plane diffusion, stain groups, derived planes, and the three training policies."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from inkspread.model import (
     Model,
     Sample,
     diffuse,
-    empty_group,
     empty_plane,
     merge_into_group,
     train_error_gated,
@@ -78,10 +77,10 @@ class TestPlaneAndGroupTypes:
         with pytest.raises(ValueError):
             IdsPlane(IN9, OUT5, np.zeros((3, 5)))
 
-    def test_group_planes_share_output_spec(self):
-        other = QuantizationSpec(1, 5, 4)
-        with pytest.raises(ValueError):
-            IdsGroup([empty_plane(IN9, OUT5), empty_plane(IN9, other)], set())
+    def test_group_output_levels_distinct(self):
+        with pytest.raises(ValueError, match="repeat"):
+            IdsGroup([((1, 1), 3), ((2, 2), 3)])
+        assert IdsGroup([((1, 1), 3), ((2, 2), 4)]).stains == [((1, 1), 3), ((2, 2), 4)]
 
     def test_sample_inputs_coerced_to_tuple(self):
         s = Sample([1.0, 2.0], 3.0)
@@ -97,13 +96,13 @@ class TestTrainFull:
     def test_one_group_per_sample(self):
         model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
         assert len(model.groups) == 2
-        assert all(len(g.planes) == 2 for g in model.groups)
+        assert [g.stains for g in model.groups] == [[((2, 7), 2)], [((5, 7), 1)]]
 
     def test_each_plane_has_exactly_one_apex(self):
         model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
-        for group in model.groups:
-            for plane in group.planes:
-                assert np.count_nonzero(plane.grid == 1.0) == 1
+        for g in range(len(model.groups)):
+            for j in range(model.n_inputs):
+                assert np.count_nonzero(model.plane(g, j).grid == 1.0) == 1
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError):
@@ -163,38 +162,38 @@ class TestTrainErrorGated:
 
 class TestMerge:
     def test_equal_quantized_output_rejected(self):
-        group = empty_group(GATE_SPECS, GATE_OUT)
-        merge_into_group(group, Sample((2.0, 7.0), 7.0), GATE_SPECS, GATE_OUT, StainRadii(2, 1))
+        group = IdsGroup()
+        merge_into_group(group, Sample((2.0, 7.0), 7.0), GATE_SPECS, GATE_OUT)
         with pytest.raises(EqualOutputConflict):
-            merge_into_group(group, Sample((8.0, 3.0), 7.0), GATE_SPECS, GATE_OUT,
-                             StainRadii(2, 1))
+            merge_into_group(group, Sample((8.0, 3.0), 7.0), GATE_SPECS, GATE_OUT)
+        assert group.stains == [((3, 8), 8)]
 
     def test_distinct_outputs_accumulate(self):
-        group = empty_group(GATE_SPECS, GATE_OUT)
-        merge_into_group(group, Sample((2.0, 7.0), 7.0), GATE_SPECS, GATE_OUT, StainRadii(2, 1))
-        merge_into_group(group, Sample((8.0, 3.0), 2.0), GATE_SPECS, GATE_OUT, StainRadii(2, 1))
-        assert group.stored_output_levels == {8, 3}
+        group = IdsGroup()
+        merge_into_group(group, Sample((2.0, 7.0), 7.0), GATE_SPECS, GATE_OUT)
+        merge_into_group(group, Sample((8.0, 3.0), 2.0), GATE_SPECS, GATE_OUT)
+        assert group.stains == [((3, 8), 8), ((9, 4), 3)]
 
     def test_merge_into_empty_group_always_succeeds(self):
-        group = empty_group(GATE_SPECS, GATE_OUT)
-        merge_into_group(group, Sample((5.0, 5.0), 9.0), GATE_SPECS, GATE_OUT, StainRadii(2, 1))
-        assert len(group.planes) == 2
-        assert group.stored_output_levels == {10}
+        group = IdsGroup()
+        merge_into_group(group, Sample((5.0, 5.0), 9.0), GATE_SPECS, GATE_OUT)
+        assert group.stains == [((6, 6), 10)]
 
     def test_no_two_apices_share_an_output_row(self):
         rng = np.random.default_rng(3)
-        group = empty_group(GATE_SPECS, GATE_OUT)
+        group = IdsGroup()
         stored = 0
         for _ in range(40):
             s = Sample(tuple(rng.uniform(0, 10, 2)), float(rng.uniform(0, 10)))
             try:
-                merge_into_group(group, s, GATE_SPECS, GATE_OUT, StainRadii(2, 1))
+                merge_into_group(group, s, GATE_SPECS, GATE_OUT)
                 stored += 1
             except EqualOutputConflict:
                 pass
-        assert stored == len(group.stored_output_levels) <= GATE_OUT.levels
-        for plane in group.planes:
-            apex_rows = np.nonzero((plane.grid == 1.0).any(axis=0))[0]
+        assert stored == len({c_out for _, c_out in group.stains}) <= GATE_OUT.levels
+        model = Model([group], GATE_SPECS, GATE_OUT, StainRadii(2, 1))
+        for j in range(model.n_inputs):
+            apex_rows = np.nonzero((model.plane(0, j).grid == 1.0).any(axis=0))[0]
             assert len(apex_rows) == stored
 
 
@@ -205,7 +204,7 @@ class TestTrainMerged:
                    for _ in range(120)]
         merged = train_merged(samples, GATE_SPECS, GATE_OUT, StainRadii(2, 1))
         assert len(merged.groups) < 120
-        total_levels = sum(len(g.stored_output_levels) for g in merged.groups)
+        total_levels = sum(len({c_out for _, c_out in g.stains}) for g in merged.groups)
         assert total_levels == 120
 
     def test_conflicting_pair_lands_in_two_groups(self):
@@ -217,16 +216,23 @@ class TestTrainMerged:
 class TestModelAssembly:
     def test_append_group_keeps_specs_consistent(self):
         model = Model([], FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
-        other_out = QuantizationSpec(0, 1, 3)
-        group = empty_group(FIX_SPECS, other_out)
+        for bad in (IdsGroup([((1, 1), 3)]), IdsGroup([((1,), 1)]), IdsGroup([((0, 1), 1)]),
+                    IdsGroup([((1, 20), 1)])):
+            with pytest.raises(ValueError):
+                model.append_group(bad)
         with pytest.raises(ValueError):
-            model.append_group(group)
+            Model([IdsGroup([((1, 1), 3)])], FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
+        assert model.groups == []
 
     def test_input_stacks_reflect_plane_grids(self):
         model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
         stacks = model.input_stacks()
         assert len(stacks) == 2
         assert stacks[0].shape == (2, 19, 2)
-        for g_i, group in enumerate(model.groups):
-            for j, plane in enumerate(group.planes):
+        for g_i in range(len(FIX_SAMPLES)):
+            for j, spec in enumerate(FIX_SPECS):
+                (c_in, c_out), = model.groups[g_i].stains
+                plane = diffuse(empty_plane(spec, FIX_OUT), c_in[j], c_out, model.radii)
                 assert np.array_equal(stacks[j][g_i], plane.grid)
+                assert np.array_equal(model.plane(g_i, j).grid, plane.grid)
+        assert Model([], FIX_SPECS, FIX_OUT, model.radii).input_stacks()[1].shape == (0, 19, 2)

@@ -1,11 +1,13 @@
 """Model file round trips and plane CSV export."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from inkspread.core import QuantizationSpec, StainRadii
-from inkspread.inference import infer_fuzzy
-from inkspread.model import Sample, train_full, train_merged
+from inkspread.inference import infer_fuzzy, infer_many_fuzzy
+from inkspread.model import IdsGroup, Model, Sample, train_full, train_merged
 from inkspread.modelio import load_model, plane_to_csv, save_model
 
 SPECS = [QuantizationSpec(1, 10, 19), QuantizationSpec(0, 5, 7)]
@@ -28,18 +30,21 @@ class TestRoundTrip:
         assert back.output_spec == model.output_spec
         assert back.radii == model.radii
         assert len(back.groups) == len(model.groups)
-        for g0, g1 in zip(model.groups, back.groups):
-            assert [p.grid.shape for p in g0.planes] == [p.grid.shape for p in g1.planes]
+        assert [len(g.stains) for g in back.groups] == [1, 1, 1]
 
-    def test_grids_survive_at_single_precision(self, tmp_path):
+    def test_round_trip_is_exact(self, tmp_path):
         model = build_model()
         path = tmp_path / "m.model"
         save_model(model, path)
         back = load_model(path)
-        for g0, g1 in zip(model.groups, back.groups):
-            for p0, p1 in zip(g0.planes, g1.planes):
-                assert np.array_equal(p1.grid, p0.grid.astype(np.float32).astype(float))
-                assert p1.grid.dtype == np.float64
+        assert back.groups == model.groups
+        for g in range(len(model.groups)):
+            for j in range(model.n_inputs):
+                assert np.array_equal(back.plane(g, j).grid, model.plane(g, j).grid)
+        X = np.random.default_rng(3).uniform(0, 10, size=(50, 2))
+        assert np.array_equal(infer_many_fuzzy(back, X), infer_many_fuzzy(model, X))
+        # header, three specs, radii, three group sizes, three stains of three levels
+        assert path.stat().st_size == 20 + 3 * 20 + 16 + 3 * 4 + 3 * 3 * 4
 
     def test_stored_output_levels_survive(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -51,8 +56,8 @@ class TestRoundTrip:
         path = tmp_path / "merged.model"
         save_model(model, path)
         back = load_model(path)
-        assert [g.stored_output_levels for g in back.groups] == [
-            g.stored_output_levels for g in model.groups]
+        assert max(len(g.stains) for g in model.groups) > 1
+        assert [g.stains for g in back.groups] == [g.stains for g in model.groups]
 
     def test_inference_unchanged_after_round_trip(self, tmp_path):
         model = build_model()
@@ -110,19 +115,84 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(build_model(), path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                load_model(path)
+
+    def test_header_counts_checked_against_length(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(build_model(), path)
+        raw = bytearray(path.read_bytes())
+        for field_offset in (8, 12, 16):  # n_inputs, n_groups, n_stains
+            bad = bytearray(raw)
+            struct.pack_into("<I", bad, field_offset, 2 ** 32 - 1)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match="truncated"):
+                load_model(path)
+
+    def test_group_sizes_must_add_up(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(build_model(), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 20 + 3 * 20 + 16, 2)  # first group claims two stains
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="add up"):
+            load_model(path)
+
+    def _write(self, path, groups):
+        model = Model([], SPECS, OUT, RADII)
+        model.groups = groups  # bypasses the level checks, as a corrupt file would
+        save_model(model, path)
+
+    def test_out_of_range_levels_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        for c_in, c_out in (((0, 3), 1), ((20, 3), 1), ((1, 8), 1), ((1, 3), 3), ((1, 3), 0)):
+            self._write(path, [IdsGroup([(c_in, c_out)])])
+            with pytest.raises(ValueError, match="outside"):
+                load_model(path)
+
+    def test_repeated_output_level_in_a_group_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        self._write(path, [IdsGroup([((1, 3), 2)])])
+        raw = bytearray(path.read_bytes())
+        good = load_model(path)
+        assert good.groups == [IdsGroup([((1, 3), 2)])]
+        # widen the one group to two copies of its stain
+        head = 20 + 3 * 20 + 16
+        struct.pack_into("<II", raw, 12, 1, 2)
+        struct.pack_into("<I", raw, head, 2)
+        raw += raw[head + 4:]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="repeat"):
+            load_model(path)
+
+    def test_version_one_file_rejected(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(build_model(), path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="version 1"):
+            load_model(path)
+
 
 class TestPlaneCsv:
     def test_dimensions_transposed_for_plotting(self, tmp_path):
         model = build_model()
         path = tmp_path / "plane.csv"
-        plane_to_csv(model.groups[0].planes[0], path)
+        plane_to_csv(model.plane(0, 0), path)
         data = np.loadtxt(path, delimiter=",")
         assert data.shape == (OUT.levels, SPECS[0].levels)
-        assert np.allclose(data, model.groups[0].planes[0].grid.T, atol=1e-7)
+        assert np.allclose(data, model.plane(0, 0).grid.T, atol=1e-7)
 
     def test_apex_cell_is_one(self, tmp_path):
         model = build_model()
         path = tmp_path / "plane.csv"
-        plane_to_csv(model.groups[0].planes[0], path)
+        plane_to_csv(model.plane(0, 0), path)
         data = np.loadtxt(path, delimiter=",")
         assert data.max() == 1.0
