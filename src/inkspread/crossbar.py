@@ -227,6 +227,10 @@ class CrossbarArray:
     def memristance_grid(self) -> np.ndarray:
         return _memristance_of_w(self.w, self.params)
 
+    def cell(self, row: int, col: int) -> MemristorState:
+        """Snapshot of one device's state (1-based row/col)."""
+        return MemristorState(float(self.w[row - 1, col - 1]), self.params)
+
 
 def read_confidence(array: CrossbarArray, col: int, row: int) -> float:
     """Op-amp readout of one cell, normalized by v_read.
@@ -382,6 +386,10 @@ class HardwareModel:
     diode_drop: float
     divider_floor: float
     reports: list[list[ProgrammingReport]] = field(default_factory=list)
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.group_arrays)
 
     @property
     def worst_residual(self) -> float:

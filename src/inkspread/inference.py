@@ -11,17 +11,23 @@ is zero there is no crisp output and ``NoCoverageError`` is raised.
 One kernel reads every path's confidences off the stains.  Min distributes
 over max, so a group is the max, over each choice of one stain per plane,
 of ``min(A, R_lo(t), R_hi(t))``: A is the min of the chosen ``a_sj``, and
-lo and hi are the extreme output levels chosen.  The kernel keeps the best
-A per (lo, hi) pair and reads every level off the pairs.  Only min and max
-of the values ``diffuse`` writes are taken, so it is bitwise equal to dense
-planes.  A group of S stains has S^J choices over J planes.
+lo and hi are the extreme output levels chosen.  A tent's minimum over an
+interval falls at an endpoint, so no choice inside [lo, hi] beats the pair
+(lo, hi) of the group's own output levels with ``M[lo, hi] = min_j
+max_{s: lo <= o_s <= hi} a_sj``; the kernel takes the max over those pairs
+and never lists the choices.  Few live pairs are read off their own tents.
+Many are read through windows: ``min(R_lo(t), R_hi(t))`` is the tent at
+half-width D = max(t - lo, hi - t), so level t takes, per D, the best M of
+any pair inside [t - D, t + D].  Only min and max of the values ``diffuse``
+writes are taken, so the kernel is bitwise equal to dense planes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import reduce
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,6 +38,9 @@ if TYPE_CHECKING:
     from .model import Model
 
 _STEP_ELEMENTS = 1 << 21  # bounds a kernel step's largest array; the chunk shrinks to fit
+# a chunk reads its live cells off their own tents while they number at
+# most this many times the window path's steps, n_span + len(tent)
+_TENT_SHARE = 1.0
 
 
 @dataclass(frozen=True)
@@ -46,51 +55,115 @@ class FuzzyOutput:
         return list(zip(self.level_values.tolist(), self.confidences.tolist()))
 
 
-def _pair_plan(model: "Model"):
-    """The query-free half of the kernel: stain input levels (S, J); the
-    stain each choice reads per plane (C, J), sorted by (lo, hi) pair; where
-    each pair's choices start (P,); each pair's ``min(R_lo, R_hi)`` (P, n_out)."""
+class _Plan(NamedTuple):
+    """The query-free half of the kernel, rebuilt from the stains per call.
+
+    A run is a stain and the next d stains of its group by output level;
+    its slot is ``(hi - lo) * n_out + lo - 1``, from the output levels of
+    its first and last stain.  Only runs that span at most ``n_span``
+    levels are kept, since a longer run from the same stain spans at least
+    as much.  Stains are ordered by output level.  ``diagonals[d]`` holds
+    the runs of d + 1 stains sorted by slot: for each, the run of d stains
+    it extends (``keep``) and the stain it adds (``last``); then where each
+    slot's runs begin (``starts``) and where the slots stand among
+    ``cells``, every slot some run reaches.  ``windows`` holds, per
+    half-width D whose ``tent = 1 - D / radius_out`` is above 0, the slot
+    of every level's window [t - D, t + D] clipped to the axis.
+    """
+
+    c_in: np.ndarray
+    diagonals: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    cells: np.ndarray
+    n_span: int
+    tent: np.ndarray
+    windows: np.ndarray
+
+
+def _plan(model: "Model") -> _Plan:
     c_in, c_out, sizes = model.stains()
-    n_j, n_y = model.n_inputs, model.output_spec.levels
-    first = np.cumsum(sizes) - sizes
-    parts = [np.zeros((0, n_j), dtype=np.int64)]
-    for size in np.unique(sizes[sizes > 0]).tolist():
-        pattern = np.indices((size,) * n_j).reshape(n_j, -1).T
-        parts.append((first[sizes == size][:, None, None] + pattern).reshape(-1, n_j))
-    choice = np.concatenate(parts)
-    lo, hi = c_out[choice].min(axis=1), c_out[choice].max(axis=1)
-    # R_lo and R_hi peak together at 1 - ceil((hi - lo) / 2) / radius_out;
-    # a choice whose peak is not above 0 adds nothing to any level
-    live = 1.0 - ((hi - lo + 1) // 2) / model.radii.radius_out > 0.0
-    keys, pair = np.unique((lo * (n_y + 1) + hi)[live], return_inverse=True)
-    choice = choice[live][np.argsort(pair, kind="stable")]
-    counts = np.bincount(pair, minlength=len(keys))
-    t, r_out = np.arange(1, n_y + 1), model.radii.radius_out
-    ramp = np.minimum(1.0 - np.abs(t - keys[:, None] // (n_y + 1)) / r_out,
-                      1.0 - np.abs(t - keys[:, None] % (n_y + 1)) / r_out)
-    return c_in, choice, np.cumsum(counts) - counts, ramp
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((group, c_out))
+    c_in, c_out, group = c_in[order], c_out[order], group[order]
+    # the stain after each one in its group, by output level; -1 for none
+    by_group = np.lexsort((c_out, group))
+    after = np.full(len(c_out), -1)
+    same = group[by_group[1:]] == group[by_group[:-1]]
+    after[by_group[:-1][same]] = by_group[1:][same]
+    n_y, r_out = model.output_spec.levels, model.radii.radius_out
+    half = np.arange(n_y)
+    half = half[1.0 - half / r_out > 0.0]
+    n_span = min(2 * int(half[-1]), n_y - 1)
+    first = last = np.arange(len(c_out))
+    diagonals = [(first, last, c_out - 1)]
+    while True:
+        keep = np.flatnonzero(after[last] >= 0)
+        keep = keep[c_out[after[last[keep]]] - c_out[first[keep]] <= n_span]
+        if not len(keep):
+            break
+        first, last = first[keep], after[last[keep]]
+        slot = (c_out[last] - c_out[first]) * n_y + c_out[first] - 1
+        by_slot = np.argsort(slot, kind="stable")
+        first, last, keep = first[by_slot], last[by_slot], keep[by_slot]
+        diagonals.append((keep, last, slot[by_slot]))
+    cells = np.unique(np.concatenate([slot for *_, slot in diagonals]))
+    for d, (keep, last, slot) in enumerate(diagonals):
+        slots, starts = np.unique(slot, return_index=True)
+        diagonals[d] = (keep, last, starts, np.searchsorted(cells, slots))
+    t = np.arange(n_y)
+    lo, hi = np.maximum(t - half[:, None], 0), np.minimum(t + half[:, None], n_y - 1)
+    return _Plan(c_in, diagonals, cells, n_span, 1.0 - half / r_out, (hi - lo) * n_y + lo)
 
 
 def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
     """The kernel: (B, n_out) confidences at the quantized queries ``levels``
     (B, J), at most ``chunk`` queries at a time."""
-    rows = np.zeros((len(levels), model.output_spec.levels))
-    c_in, choice, starts, ramp = _pair_plan(model)
-    if not len(starts):
+    n_y, r_out = model.output_spec.levels, model.radii.radius_out
+    rows = np.zeros((len(levels), n_y))
+    plan = _plan(model)
+    if not len(plan.c_in):
         return rows
+    n_slots = (plan.n_span + 1) * n_y
     # a_sj at each level the queries hold on plane j: (held levels, S)
     held = [np.unique(levels[:, j], return_inverse=True) for j in range(model.n_inputs)]
-    ramps_in = [1.0 - np.abs(u[:, None] - c_in[:, j]) / model.radii.radius_in
+    ramps_in = [1.0 - np.abs(u[:, None] - plan.c_in[:, j]) / model.radii.radius_in
                 for j, (u, _) in enumerate(held)]
-    step = max(1, min(chunk, _STEP_ELEMENTS // max(c_in.size, len(choice), ramp.size)))
-    for lo in range(0, len(levels), step):
-        best = ramps_in[0][held[0][1][lo:lo + step]][:, choice[:, 0]]
-        for j in range(1, model.n_inputs):
-            np.minimum(best, ramps_in[j][held[j][1][lo:lo + step]][:, choice[:, j]], out=best)
-        pair_best = np.maximum.reduceat(best, starts, axis=1)
-        # a pair whose best A is not above 0 for any query here adds nothing
-        live = (pair_best > 0.0).any(axis=0)
-        np.minimum(pair_best[:, live, None], ramp[live]).max(axis=1, initial=0.0, out=rows[lo:lo + step])
+    widest = max(plan.c_in.size, n_slots, max(len(keep) for keep, *_ in plan.diagonals))
+    step = max(1, min(chunk, _STEP_ELEMENTS // widest))
+    for b0 in range(0, len(levels), step):
+        a = [r[inverse[b0:b0 + step]] for r, (_, inverse) in zip(ramps_in, held)]
+        # a run's best A over the choices inside it is the min over planes
+        # of each plane's max a_sj along the run; M per cell is the best
+        # over the cell's runs in every group
+        m = np.zeros((len(a[0]), len(plan.cells)))
+        runs = a
+        for d, (keep, last, starts, slots) in enumerate(plan.diagonals):
+            if d:
+                runs = [np.maximum(np.take(run, keep, axis=1), np.take(aj, last, axis=1))
+                        for run, aj in zip(runs, a)]
+            best = np.maximum.reduceat(reduce(np.minimum, runs), starts, axis=1)
+            m[:, slots] = np.maximum(np.take(m, slots, axis=1), best)
+        out = rows[b0:b0 + step]
+        # a cell whose M is not above 0 for any query here adds nothing
+        live = (m > 0.0).any(axis=0)
+        if np.count_nonzero(live) <= _TENT_SHARE * (plan.n_span + len(plan.tent)):
+            t, lo = np.arange(1, n_y + 1), plan.cells[live] % n_y + 1
+            hi = lo + plan.cells[live] // n_y
+            ramp = np.minimum(1.0 - np.abs(t - lo[:, None]) / r_out, 1.0 - np.abs(t - hi[:, None]) / r_out)
+            np.minimum(m[:, live, None], ramp).max(axis=1, initial=0.0, out=out)
+            continue
+        # the max over every slot inside each interval; slots no run
+        # reaches stay 0, which adds nothing
+        slots = np.zeros((len(m), n_slots))
+        slots[:, plan.cells] = m
+        grid = slots.reshape(len(m), plan.n_span + 1, n_y)
+        for span in range(1, plan.n_span + 1):
+            inner = grid[:, span, :n_y - span]
+            np.maximum(inner, grid[:, span - 1, :n_y - span], out=inner)
+            np.maximum(inner, grid[:, span - 1, 1:n_y - span + 1], out=inner)
+        # min(R_lo(t), R_hi(t)) is the tent at half-width max(t - lo, hi - t)
+        # = D, and every pair inside t's window of half-width D reaches it
+        for r, window in zip(plan.tent, plan.windows):
+            np.maximum(out, np.minimum(np.take(slots, window, axis=1), r), out=out)
     return rows
 
 

@@ -12,9 +12,11 @@ Binary layout, format version 2 (all little-endian):
     stains           n_stains x u32 levels (inputs, then output), group by group
 
 A model is its stain list, so a round trip is exact.  The header counts fix
-the file length, which is checked before anything else is read; the model
-then rejects levels off their axes and output levels repeated in a group.
-Version 1 files (dense float32 planes) are refused: retrain the model.
+the file length, which is checked before anything else is read.  Every axis
+holds at most ``MAX_LEVELS`` levels, which bounds what inference and plane
+export allocate for a model read from a file.  The model then rejects
+levels off their axes and output levels repeated in a group.  Version 1
+files (dense float32 planes) are refused: retrain the model.
 """
 
 from __future__ import annotations
@@ -29,12 +31,20 @@ from .model import IdsGroup, IdsPlane, Model
 
 MAGIC = b"IDSM"
 VERSION = 2
+MAX_LEVELS = 4096  # per axis; a derived plane then holds at most 16M cells
 _HEAD = struct.Struct("<4sIIII")  # magic, version, n_inputs, n_groups, n_stains
 _SPEC = struct.Struct("<ddI")
 _RADII = struct.Struct("<dd")
 
 
+def _check_levels(specs: list[QuantizationSpec], where: str) -> None:
+    for spec in specs:
+        if spec.levels > MAX_LEVELS:
+            raise ValueError(f"{where}: an axis of {spec.levels} levels exceeds the format's {MAX_LEVELS}")
+
+
 def save_model(model: Model, path: str | Path) -> None:
+    _check_levels([model.output_spec, *model.input_specs], str(path))
     sizes = [len(g.stains) for g in model.groups]
     stains = [c_in + (c_out,) for g in model.groups for c_in, c_out in g.stains]
     parts = [_HEAD.pack(MAGIC, VERSION, model.n_inputs, len(sizes), len(stains))]
@@ -64,6 +74,7 @@ def load_model(path: str | Path) -> Model:
     if len(raw) > size:
         raise ValueError(f"{path}: {len(raw) - size} trailing bytes after the last stain")
     specs = [QuantizationSpec(*_SPEC.unpack_from(raw, _HEAD.size + k * _SPEC.size)) for k in range(width)]
+    _check_levels(specs, str(path))
     off = _HEAD.size + width * _SPEC.size + _RADII.size
     radii = StainRadii(*_RADII.unpack_from(raw, off - _RADII.size))
     sizes = np.frombuffer(raw, dtype="<u4", count=n_groups, offset=off).tolist()

@@ -6,6 +6,7 @@ things down without testing anything extra.
 """
 
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,21 @@ class TestInfer:
                               env={"PYTHONPATH": str(src)}, timeout=60)
         assert done.returncode == EXIT_INPUT
         assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
+    def test_corrupt_level_count_exits_2(self, model_path, tmp_path, capsys):
+        raw = bytearray(model_path.read_bytes())
+        struct.pack_into("<I", raw, 20 + 16, 2 ** 32 - 1)  # the output spec's levels
+        bad_path = tmp_path / "bad.ids"
+        bad_path.write_bytes(bytes(raw))
+        for argv in (["infer", "--model", str(bad_path), "2.5", "3.5"],
+                     ["dump-plane", "--model", str(bad_path), "--group", "1", "--plane", "1",
+                      "--out", str(tmp_path / "p.csv")]):
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            assert rc == EXIT_INPUT
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert "exceeds" in captured.err
 
 
 class TestDumpPlane:

@@ -1,8 +1,11 @@
 """Min/max rule evaluation, weighted-sum defuzzification, and the trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from inkspread import inference
 from inkspread.core import QuantizationSpec, StainRadii, dequantize, quantize
 from inkspread.errors import NoCoverageError
 from inkspread.inference import (
@@ -14,7 +17,7 @@ from inkspread.inference import (
     infer_many_fuzzy,
     infer_trace,
 )
-from inkspread.model import Model, Sample, train_full, train_merged
+from inkspread.model import IdsGroup, Model, Sample, train_full, train_merged
 
 from reference import crisp_reference, fuzzy_reference
 
@@ -126,6 +129,71 @@ class TestInferFuzzy:
             a = infer_fuzzy(worked_model, q).confidences
             b = infer_fuzzy(swapped, q).confidences
             assert np.array_equal(a, b)
+
+
+def dense_confidences(model, X):
+    """Confidences read off the derived dense planes: per query, the min over
+    planes of each group's row at the query's level, then the max over groups."""
+    stacks = model.input_stacks()
+    rows = []
+    for x in X:
+        levels = [quantize(spec, v) for spec, v in zip(model.input_specs, x)]
+        groups = np.min([stack[:, k - 1, :] for stack, k in zip(stacks, levels)], axis=0)
+        rows.append(groups.max(axis=0, initial=0.0))
+    return np.array(rows)
+
+
+@pytest.fixture(params=["tents", "windows"])
+def kernel_path(request, monkeypatch):
+    """Each kernel test runs once per way of reading the live slots."""
+    if request.param == "windows":
+        monkeypatch.setattr(inference, "_TENT_SHARE", -1.0)
+    else:
+        monkeypatch.setattr(inference, "_TENT_SHARE", float("inf"))
+    return request.param
+
+
+class TestKernel:
+    def test_pair_across_a_gap_survives_a_longer_run_on_one_cell(self, kernel_path):
+        # group 1 holds output levels 1 and 3, each stain near the query on
+        # one plane only; group 2 holds 1, 2 and 3 far from it.  Both reach
+        # the (1, 3) pair, and only group 1's stain pair covers level 2
+        specs = [QuantizationSpec(1, 9, 9)] * 2
+        out = QuantizationSpec(1, 3, 3)
+        model = Model([IdsGroup([((1, 9), 1), ((9, 1), 3)]),
+                       IdsGroup([((5, 5), 1), ((5, 5), 2), ((5, 5), 3)])],
+                      specs, out, StainRadii(3.0, 2.0))
+        rows = infer_many_fuzzy(model, np.array([[1.0, 1.0]]))
+        assert rows.tolist() == [[0.0, 0.5, 0.0]]
+        assert np.array_equal(rows, dense_confidences(model, [[1.0, 1.0]]))
+
+    def test_merged_model_equals_dense_planes(self, kernel_path):
+        rng = np.random.default_rng(7)
+        specs = [QuantizationSpec(0, 1, 16)] * 3
+        out = QuantizationSpec(0, 1, 12)
+        samples = [Sample(tuple(rng.uniform(0, 1, 3)), float(rng.uniform(0, 1))) for _ in range(60)]
+        model = train_merged(samples, specs, out, StainRadii(4.0, 3.0))
+        X = rng.uniform(-0.1, 1.1, size=(40, 3))
+        assert np.array_equal(infer_many_fuzzy(model, X, 5), dense_confidences(model, X))
+
+    def test_wide_group_over_four_inputs_stays_small(self):
+        # one group of 125 stains over 4 planes has 125**4 stain choices;
+        # the kernel must not list them
+        rng = np.random.default_rng(3)
+        specs = [QuantizationSpec(0, 1, 32)] * 4
+        out = QuantizationSpec(0, 1, 128)
+        samples = [Sample(tuple(rng.uniform(0, 1, 4)), k / 127) for k in range(125)]
+        model = train_merged(samples, specs, out, StainRadii(8.0, 10.0))
+        assert [len(g.stains) for g in model.groups] == [125]
+        X = rng.uniform(0, 1, size=(64, 4))
+        tracemalloc.start()
+        try:
+            rows = infer_many_fuzzy(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert np.array_equal(rows, dense_confidences(model, X))
 
 
 class TestDefuzzify:

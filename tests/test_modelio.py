@@ -8,7 +8,7 @@ import pytest
 from inkspread.core import QuantizationSpec, StainRadii
 from inkspread.inference import infer_fuzzy, infer_many_fuzzy
 from inkspread.model import IdsGroup, Model, Sample, train_full, train_merged
-from inkspread.modelio import load_model, plane_to_csv, save_model
+from inkspread.modelio import MAX_LEVELS, load_model, plane_to_csv, save_model
 
 SPECS = [QuantizationSpec(1, 10, 19), QuantizationSpec(0, 5, 7)]
 OUT = QuantizationSpec(1, 2, 2)
@@ -134,6 +134,26 @@ class TestValidation:
             path.write_bytes(bytes(bad))
             with pytest.raises(ValueError, match="truncated"):
                 load_model(path)
+
+    def test_level_counts_are_bounded(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(build_model(), path)
+        raw = path.read_bytes()
+        # the levels field of the output spec, then of the first input spec
+        for levels_offset in (20 + 16, 20 + 20 + 16):
+            for levels in (MAX_LEVELS + 1, 2 ** 32 - 1):
+                bad = bytearray(raw)
+                struct.pack_into("<I", bad, levels_offset, levels)
+                path.write_bytes(bytes(bad))
+                with pytest.raises(ValueError, match="exceeds"):
+                    load_model(path)
+
+    def test_saving_too_many_levels_rejected(self, tmp_path):
+        wide = QuantizationSpec(0, 1, MAX_LEVELS + 1)
+        model = train_full([Sample((0.5, 4.0), 1.5)], [wide, SPECS[1]], OUT, RADII)
+        with pytest.raises(ValueError, match="exceeds"):
+            save_model(model, tmp_path / "m.model")
+        assert not (tmp_path / "m.model").exists()
 
     def test_group_sizes_must_add_up(self, tmp_path):
         path = tmp_path / "m.model"

@@ -2,16 +2,20 @@
 
 Random specs, radii and samples are trained under all three policies; every
 inference path must equal ``tests/reference.py`` bitwise, coverage included,
-at several chunk sizes, and a save/load round trip must be exact.
+at several chunk sizes, and a save/load round trip must be exact.  The
+kernel reads few live (lo, hi) slots off their own tents and many through
+windows; each way is held to the oracle by forcing the choice between them.
 """
 
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inkspread import inference
 from inkspread.core import QuantizationSpec, StainRadii, quantize
 from inkspread.errors import NoCoverageError
 from inkspread.inference import infer, infer_fuzzy, infer_many, infer_many_fuzzy
@@ -22,6 +26,18 @@ from reference import crisp_reference, fuzzy_reference
 from test_acceptance import _first_fit_partition
 
 POLICIES = ("full", "error-gated", "merged")
+
+
+@contextmanager
+def kernel_path(windows):
+    """Run the kernel through its window path when ``windows`` is true, and
+    through its tent path otherwise."""
+    saved = inference._TENT_SHARE
+    inference._TENT_SHARE = -1.0 if windows else float("inf")
+    try:
+        yield
+    finally:
+        inference._TENT_SHARE = saved
 
 
 @st.composite
@@ -71,12 +87,17 @@ def train(policy, specs, out, radii, samples, tolerance):
 
 
 @settings(max_examples=150, deadline=None)
-@given(problems(), st.sampled_from(POLICIES), st.floats(0.0, 0.5))
-def test_every_path_equals_the_oracle_bitwise(problem, policy, tolerance):
+@given(problems(), st.sampled_from(POLICIES), st.floats(0.0, 0.5), st.booleans())
+def test_every_path_equals_the_oracle_bitwise(problem, policy, tolerance, windows):
     specs, out, radii, samples, queries = problem
     model, grouped = train(policy, specs, out, radii, samples, tolerance)
     assert len(model.groups) == len(grouped)
     want = np.array([fuzzy_reference(grouped, specs, out, radii, q) for q in queries])
+    with kernel_path(windows):
+        check_every_path(model, grouped, specs, out, radii, queries, want)
+
+
+def check_every_path(model, grouped, specs, out, radii, queries, want):
     for chunk in (1, 7, 64):
         assert np.array_equal(infer_many_fuzzy(model, queries, chunk), want)
     values, covered = infer_many(model, queries, 7)
@@ -96,6 +117,26 @@ def test_every_path_equals_the_oracle_bitwise(problem, policy, tolerance):
                 pass
         else:
             assert value == crisp == infer(model, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.booleans())
+def test_merged_groups_of_many_stains_over_three_inputs(data, windows):
+    # few output levels and many samples, so first fit packs long groups
+    # whose stains mix on every plane
+    draw = data.draw
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(3)]
+    out = QuantizationSpec(0.0, 1.0, draw(st.integers(2, 7)))
+    radii = StainRadii(draw(st.floats(0.3, 4.0)), draw(st.floats(0.3, 8.0)))
+    unit = st.floats(0.0, 1.0)
+    samples = [Sample([draw(unit) for _ in range(3)], draw(unit))
+               for _ in range(draw(st.integers(8, 30)))]
+    queries = np.array([[draw(unit) for _ in range(3)] for _ in range(draw(st.integers(1, 10)))])
+    model = train_merged(samples, specs, out, radii)
+    grouped = _first_fit_partition(samples, out)
+    want = np.array([fuzzy_reference(grouped, specs, out, radii, q) for q in queries])
+    with kernel_path(windows):
+        check_every_path(model, grouped, specs, out, radii, queries, want)
 
 
 @settings(max_examples=60, deadline=None)
