@@ -24,6 +24,7 @@ ladder realizes its integer gains exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,18 @@ class DeviceParams:
     V_th: float = 1.0        # programming threshold, V
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.D, self.R_on, self.R_off, self.mu_v, self.V_th))):
+            raise ValueError("device constants must all be finite")
         if not 0 < self.R_on < self.R_off:
             raise ValueError(f"need 0 < R_on < R_off, got {self.R_on}, {self.R_off}")
         if self.D <= 0 or self.mu_v <= 0 or self.V_th <= 0:
             raise ValueError("D, mu_v, V_th must all be positive")
+        try:
+            kappa = self.kappa
+        except (ZeroDivisionError, OverflowError):
+            kappa = math.nan
+        if not 0 < kappa < math.inf:
+            raise ValueError("D and mu_v give no positive, finite drift rate")
 
     @property
     def kappa(self) -> float:
@@ -82,11 +91,12 @@ def _w_of_memristance(r: np.ndarray, params: DeviceParams):
     return params.D * (params.R_off - r) / (params.R_off - params.R_on)
 
 
-def _pulse_r_squared(r2, v, dt: float, substeps: int, params: DeviceParams):
+def _pulse_r_squared(r2, v, dt, substeps: int, params: DeviceParams):
     """Advance R_M^2 by a super-threshold pulse, clamping at the rails.
 
     Exact within each substep: R_M(t)^2 = R_M(0)^2 - kappa*v*t.  Positive v
-    drives toward R_on (doping grows), negative toward R_off.
+    drives toward R_on (doping grows), negative toward R_off.  ``r2``, ``v``
+    and ``dt`` may be per-cell arrays.
     """
     lo, hi = params.R_on**2, params.R_off**2
     h = dt / substeps
@@ -147,6 +157,8 @@ class ProgrammingParams:
     budget_per_cell: int = 10_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.v_prog) and math.isfinite(self.base_width)):
+            raise ValueError("v_prog and base_width must be finite")
         if self.v_prog <= 0 or self.base_width <= 0:
             raise ValueError("v_prog and base_width must be positive")
         if self.substeps < 1 or self.budget_per_cell < 1:
@@ -245,11 +257,116 @@ def read_confidence(array: CrossbarArray, col: int, row: int) -> float:
     return v_out / array.v_read
 
 
+def _read_voltages(array: CrossbarArray, w: np.ndarray) -> np.ndarray:
+    """Op-amp output voltages of cells with doped lengths ``w``, read through
+    ``array``'s device and bias constants."""
+    r = _memristance_of_w(w, array.params)
+    return -array.v_ref + array.v_read * (-(array.R_f / r))
+
+
 def read_column_voltages(array: CrossbarArray, col: int) -> np.ndarray:
     """Raw op-amp output voltages of every row for one selected column."""
     array._require_read()
-    r = _memristance_of_w(array.w[:, col - 1], array.params)
-    return -array.v_ref + array.v_read * (-(array.R_f / r))
+    return _read_voltages(array, array.w[:, col - 1])
+
+
+def _check_programming(epsilon: float, prog: ProgrammingParams, p: DeviceParams) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    if prog.v_prog <= p.V_th:
+        raise ValueError(f"v_prog = {prog.v_prog} cannot move cells below V_th = {p.V_th}")
+    if prog.v_prog / 2.0 > p.V_th:
+        raise ValueError(f"half-select v_prog/2 = {prog.v_prog / 2} would disturb unselected cells")
+
+
+def _settle(w: np.ndarray, target_c: np.ndarray, epsilon: float, prog: ProgrammingParams,
+            p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-loop write controller on independent cells.
+
+    Returns each cell's final doped length and pulse count.  The loop
+    verifies first, so already-converged cells (including every zero-target
+    cell of a fresh array) receive no pulses.  All still-erroneous cells get
+    one width-adapted pulse per iteration; this parallel sweep is equivalent
+    to per-cell sequencing because half-selected cells stay sub-threshold
+    and do not move.
+    """
+    r2 = _memristance_of_w(w, p) ** 2
+    width = np.full(w.shape, prog.base_width)
+    prev_sign = np.zeros(w.shape)
+    growing = np.ones(w.shape, dtype=bool)
+    pulses = np.zeros(w.shape, dtype=np.int64)
+    while True:
+        degree = 1.0 - p.R_on / np.sqrt(r2)
+        need = target_c - degree
+        active = (np.abs(need) > epsilon) & (pulses < prog.budget_per_cell)
+        if not active.any():
+            break
+        s = np.sign(need)
+        seen = prev_sign != 0.0
+        same = active & seen & (s == prev_sign)
+        reversed_ = active & seen & (s != prev_sign)
+        width[same & growing] *= 2.0
+        width[reversed_] *= 0.5
+        growing[reversed_] = False
+        prev_sign[active] = s[active]
+        # need > 0 means the degree must rise, i.e. R_M must grow: negative drive
+        v = -prog.v_prog * s[active]
+        r2[active] = _pulse_r_squared(r2[active], v, width[active], prog.substeps, p)
+        pulses[active] += 1
+    return np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D), pulses
+
+
+def _program_arrays(
+    arrays: list[CrossbarArray],
+    targets: Iterable[np.ndarray],
+    epsilon: float,
+    prog: ProgrammingParams,
+) -> list[ProgrammingReport]:
+    """Program-and-verify arrays sharing one set of device constants.
+
+    ``targets`` yields each array's hardware target grid.  A cell's
+    trajectory depends only on its start state and its target, so the
+    controller settles each distinct (state, target) pair once and the
+    outcome is copied to every cell holding that pair.  A cell that goes
+    inactive never moves again, so an array's iteration count is its
+    largest pulse count.
+    """
+    if not arrays:
+        return []
+    p = arrays[0].params
+    for array in arrays:
+        array.set_mode("program")
+    try:
+        # per array, runs of equal neighbours (the unstained background)
+        # collapse to one complex (state, target) key each; a NaN target
+        # stays a pair of its own, as it would in a per-cell loop
+        run_keys, run_lengths = [], []
+        for array, target in zip(arrays, targets):
+            key = array.w.ravel() + 1j * target.ravel()
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            run_keys.append(key[starts])
+            run_lengths.append(np.diff(np.r_[starts, key.size]))
+        pairs, run_pair = np.unique(np.concatenate(run_keys), return_inverse=True, equal_nan=False)
+        w, pulses = _settle(pairs.real, pairs.imag, epsilon, prog, p)
+        residuals = (1.0 - p.R_on / _memristance_of_w(w, p)) - pairs.imag
+        exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
+        reports = []
+        stop = 0
+        for array, lengths in zip(arrays, run_lengths):
+            runs = run_pair[stop:stop + lengths.size]
+            stop += lengths.size
+            shape = array.w.shape
+
+            def cells(per_pair):
+                return np.repeat(per_pair[runs], lengths).reshape(shape)
+
+            array.w = cells(w)
+            reports.append(ProgrammingReport(cells(pulses), cells(residuals), cells(exhausted),
+                                             epsilon, int(pulses[runs].max())))
+        return reports
+    finally:
+        for array in arrays:
+            array.set_mode("read")
 
 
 def program_plane(
@@ -261,11 +378,8 @@ def program_plane(
     """Program-and-verify the whole array to mirror a confidence plane.
 
     Each cell's hardware target is its software degree scaled by the
-    attenuation factor.  The loop verifies first, so already-converged cells
-    (including every zero-target cell of a fresh array) receive no pulses.
-    All still-erroneous cells get one width-adapted pulse per iteration;
-    this parallel sweep is equivalent to per-cell sequencing because
-    half-selected cells stay sub-threshold and do not move.
+    attenuation factor; cells are driven until within ``epsilon`` of it or
+    out of pulse budget.
     """
     p = array.params
     if (array.rows, array.cols) != (target.output_spec.levels, target.input_spec.levels):
@@ -273,51 +387,8 @@ def program_plane(
             f"array {array.rows}x{array.cols} cannot hold plane "
             f"{target.output_spec.levels}x{target.input_spec.levels}"
         )
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    if prog.v_prog <= p.V_th:
-        raise ValueError(f"v_prog = {prog.v_prog} cannot move cells below V_th = {p.V_th}")
-    if prog.v_prog / 2.0 > p.V_th:
-        raise ValueError(f"half-select v_prog/2 = {prog.v_prog / 2} would disturb unselected cells")
-
-    target_c = target.grid.T * attenuation(p)
-    array.set_mode("program")
-    try:
-        r2 = _memristance_of_w(array.w, p) ** 2
-        width = np.full(array.w.shape, prog.base_width)
-        prev_sign = np.zeros(array.w.shape)
-        growing = np.ones(array.w.shape, dtype=bool)
-        pulses = np.zeros(array.w.shape, dtype=np.int64)
-        iterations = 0
-        while True:
-            degree = 1.0 - p.R_on / np.sqrt(r2)
-            need = target_c - degree
-            active = (np.abs(need) > epsilon) & (pulses < prog.budget_per_cell)
-            if not active.any():
-                break
-            iterations += 1
-            s = np.sign(need)
-            seen = prev_sign != 0.0
-            same = active & seen & (s == prev_sign)
-            reversed_ = active & seen & (s != prev_sign)
-            width[same & growing] *= 2.0
-            width[reversed_] *= 0.5
-            growing[reversed_] = False
-            prev_sign[active] = s[active]
-            # need > 0 means the degree must rise, i.e. R_M must grow: negative drive
-            v = -prog.v_prog * s
-            lo, hi = p.R_on**2, p.R_off**2
-            h = width / prog.substeps
-            step = p.kappa * v * h
-            for _ in range(prog.substeps):
-                r2 = np.where(active, np.clip(r2 - step, lo, hi), r2)
-            pulses[active] += 1
-        array.w = np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D)
-        residuals = (1.0 - p.R_on / _memristance_of_w(array.w, p)) - target_c
-        exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
-        return ProgrammingReport(pulses, residuals, exhausted, epsilon, iterations)
-    finally:
-        array.set_mode("read")
+    _check_programming(epsilon, prog, p)
+    return _program_arrays([array], [target.grid.T * attenuation(p)], epsilon, prog)[0]
 
 
 def program_plane_exact(array: CrossbarArray, target: IdsPlane) -> None:
@@ -408,24 +479,28 @@ def program_from_model(
     diode_drop: float = 0.7,
     exact: bool = False,
 ) -> HardwareModel:
-    """Build and program one crossbar per plane of the given model."""
-    group_arrays: list[list[CrossbarArray]] = []
-    reports: list[list[ProgrammingReport]] = []
-    n_y = model.output_spec.levels
+    """Build and program one crossbar per plane of the given model.
+
+    Every array of the model goes through one run of the write controller,
+    which settles each distinct (start state, target) pair once; each array
+    still gets its own report.
+    """
+    _check_programming(epsilon, prog, params)
     stacks = model.input_stacks()
-    for g in range(len(model.groups)):
-        arrays = []
-        row_reports = []
-        for spec, stack in zip(model.input_specs, stacks):
-            plane = IdsPlane(spec, model.output_spec, stack[g])
-            arr = CrossbarArray(n_y, spec.levels, params, v_read, diode_drop)
-            if exact:
-                program_plane_exact(arr, plane)
-            else:
-                row_reports.append(program_plane(arr, plane, epsilon, prog))
-            arrays.append(arr)
-        group_arrays.append(arrays)
-        reports.append(row_reports)
+    group_arrays = [[CrossbarArray(model.output_spec.levels, spec.levels, params, v_read, diode_drop)
+                     for spec in model.input_specs] for _ in model.groups]
+    arrays = [arr for row in group_arrays for arr in row]
+    planes = [IdsPlane(spec, model.output_spec, stack[g]) for g in range(len(group_arrays))
+              for spec, stack in zip(model.input_specs, stacks)]
+    if exact:
+        for arr, plane in zip(arrays, planes):
+            program_plane_exact(arr, plane)
+        reports: list[list[ProgrammingReport]] = [[] for _ in group_arrays]
+    else:
+        att = attenuation(params)
+        flat = _program_arrays(arrays, (plane.grid.T * att for plane in planes), epsilon, prog)
+        n_in = model.n_inputs
+        reports = [flat[k:k + n_in] for k in range(0, len(flat), n_in)]
     return HardwareModel(
         group_arrays,
         list(model.input_specs),
@@ -439,8 +514,11 @@ def program_from_model(
 def crossbar_infer(hw: HardwareModel, x) -> float:
     """Analog-path inference: reads, diode min/max cascade, divider, dequantize.
 
-    Raises DividerUnderflowError off the stained region (including the empty
-    model) and ModeViolationError if any array is still being programmed.
+    Every array of ``hw`` shares the device and read constants that
+    program_from_model gave it.  Per input, the selected column of every
+    group is gathered and read in one step.  Raises DividerUnderflowError
+    off the stained region (including the empty model) and
+    ModeViolationError if any array is still being programmed.
     """
     xs = [float(v) for v in x]
     if len(xs) != len(hw.input_specs):
@@ -450,11 +528,14 @@ def crossbar_infer(hw: HardwareModel, x) -> float:
     drop = hw.diode_drop
     level_mu = np.zeros(n_y)
     if hw.group_arrays:
-        group_mins = []
         for arrays in hw.group_arrays:
-            plane_vs = [read_column_voltages(arr, cols[j]) for j, arr in enumerate(arrays)]
-            group_mins.append(np.minimum.reduce(plane_vs) + drop)
-        level_mu = np.maximum.reduce(group_mins) - drop
+            for arr in arrays:
+                arr._require_read()
+        # (inputs, groups, rows): min over inputs, then max over groups
+        w = np.array([[arrays[j].w[:, col - 1] for arrays in hw.group_arrays]
+                      for j, col in enumerate(cols)])
+        plane_vs = _read_voltages(hw.group_arrays[0][0], w)
+        level_mu = (np.minimum.reduce(plane_vs) + drop).max(axis=0) - drop
     level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)
     level = min(max(level, 1.0), float(n_y))
     return dequantize(hw.output_spec, level)

@@ -4,6 +4,10 @@ Computes confidences straight from the stain geometry of the training
 samples, never touching trained plane grids.  Arithmetic mirrors the
 production path operation for operation (same divisions, same min/max
 selection, same np.sum accumulation) so agreement can be asserted bitwise.
+
+The crossbar twin has its own references: the write controller run array
+by array over every cell, and the analog read cascade run one array and
+one diode stage at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from inkspread.core import QuantizationSpec, StainRadii, dequantize, quantize
+from inkspread.crossbar import (
+    CrossbarArray,
+    DeviceParams,
+    HardwareModel,
+    ProgrammingParams,
+    ProgrammingReport,
+    _memristance_of_w,
+    _w_of_memristance,
+    attenuation,
+    defuzz_circuit,
+    read_column_voltages,
+)
 from inkspread.errors import NoCoverageError
-from inkspread.model import Sample
+from inkspread.model import IdsPlane, Model, Sample
 
 
 def stain_value(level: int, center: int, radius: float) -> float:
@@ -118,3 +134,83 @@ def class_reference(
         if reading > best:
             best, label = reading, c
     return label
+
+
+def program_plane_reference(
+    array: CrossbarArray,
+    target: IdsPlane,
+    epsilon: float,
+    prog: ProgrammingParams = ProgrammingParams(),
+) -> ProgrammingReport:
+    """Program-and-verify one array, every cell stepped in place each iteration."""
+    p = array.params
+    target_c = target.grid.T * attenuation(p)
+    r2 = _memristance_of_w(array.w, p) ** 2
+    width = np.full(array.w.shape, prog.base_width)
+    prev_sign = np.zeros(array.w.shape)
+    growing = np.ones(array.w.shape, dtype=bool)
+    pulses = np.zeros(array.w.shape, dtype=np.int64)
+    iterations = 0
+    while True:
+        degree = 1.0 - p.R_on / np.sqrt(r2)
+        need = target_c - degree
+        active = (np.abs(need) > epsilon) & (pulses < prog.budget_per_cell)
+        if not active.any():
+            break
+        iterations += 1
+        s = np.sign(need)
+        seen = prev_sign != 0.0
+        same = active & seen & (s == prev_sign)
+        reversed_ = active & seen & (s != prev_sign)
+        width[same & growing] *= 2.0
+        width[reversed_] *= 0.5
+        growing[reversed_] = False
+        prev_sign[active] = s[active]
+        v = -prog.v_prog * s
+        lo, hi = p.R_on**2, p.R_off**2
+        h = width / prog.substeps
+        step = p.kappa * v * h
+        for _ in range(prog.substeps):
+            r2 = np.where(active, np.clip(r2 - step, lo, hi), r2)
+        pulses[active] += 1
+    array.w = np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D)
+    residuals = (1.0 - p.R_on / _memristance_of_w(array.w, p)) - target_c
+    exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
+    return ProgrammingReport(pulses, residuals, exhausted, epsilon, iterations)
+
+
+def program_from_model_reference(
+    model: Model,
+    epsilon: float = 0.01,
+    params: DeviceParams = DeviceParams(),
+    prog: ProgrammingParams = ProgrammingParams(),
+    v_read: float = 0.5,
+    diode_drop: float = 0.7,
+) -> HardwareModel:
+    """One fresh array per plane, each programmed on its own."""
+    n_y = model.output_spec.levels
+    group_arrays, reports = [], []
+    for g in range(len(model.groups)):
+        arrays = [CrossbarArray(n_y, spec.levels, params, v_read, diode_drop)
+                  for spec in model.input_specs]
+        reports.append([program_plane_reference(arr, model.plane(g, j), epsilon, prog)
+                        for j, arr in enumerate(arrays)])
+        group_arrays.append(arrays)
+    return HardwareModel(group_arrays, list(model.input_specs), model.output_spec,
+                         diode_drop, 1e-4 * abs(v_read), reports)
+
+
+def crossbar_infer_reference(hw: HardwareModel, x) -> float:
+    """Analog inference read one column of one array at a time."""
+    cols = [quantize(spec, float(xi)) for spec, xi in zip(hw.input_specs, x)]
+    n_y = hw.output_spec.levels
+    level_mu = np.zeros(n_y)
+    if hw.group_arrays:
+        group_mins = []
+        for arrays in hw.group_arrays:
+            plane_vs = [read_column_voltages(arr, cols[j]) for j, arr in enumerate(arrays)]
+            group_mins.append(np.minimum.reduce(plane_vs) + hw.diode_drop)
+        level_mu = np.maximum.reduce(group_mins) - hw.diode_drop
+    level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)
+    level = min(max(level, 1.0), float(n_y))
+    return dequantize(hw.output_spec, level)

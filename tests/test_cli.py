@@ -17,6 +17,8 @@ import pytest
 from inkspread import cli
 from inkspread.cli import EXIT_BAND, EXIT_INPUT, EXIT_NO_COVERAGE, EXIT_OK
 
+from reference import crossbar_infer_reference, program_from_model_reference
+
 # Two samples on [1, 10]^2 whose crisp answer at (2.5, 3.5) is 4/3.
 CSV_ROWS = "1.5,4,2\n3,4,1\n"
 
@@ -264,6 +266,43 @@ class TestCompareHw:
             assert entry["compared"] == 60 - entry["underflow_count"]
             assert entry["compared"] >= 1
             assert entry["max_abs_deviation"] < 0.05
+
+    @pytest.mark.parametrize("setting", [
+        ["--sweep", "nan"], ["--sweep", "0.01,inf"], ["--set", "hw_epsilon=nan"],
+        ["--set", "hw_base_width=inf"], ["--set", "hw_base_width=nan"],
+        ["--set", "hw_v_prog=nan"], ["--set", "hw_D=nan"], ["--set", "hw_mu_v=nan"],
+        ["--set", "hw_V_th=nan"], ["--set", "hw_R_off=inf"], ["--set", "hw_D=1e-200"],
+    ])
+    def test_non_finite_hardware_setting_exits_2(self, model_path, setting, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "5",
+                       "--out", str(out), *setting])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("train", [[], ["--set", "dataset=f2", "--set", "train_count=30",
+                                            "--set", "input_levels=24", "--set", "output_levels=24",
+                                            "--set", "input_min=", "--set", "input_max=",
+                                            "--set", "output_min=", "--set", "output_max="]])
+    def test_report_equals_the_per_array_reference(self, workdir, train, tmp_path, monkeypatch, capsys):
+        model = tmp_path / "m.ids"
+        assert cli.main(["train", "--config", str(workdir / "run.conf"), "--out", str(model),
+                         *train]) == EXIT_OK
+
+        def report(name):
+            out = tmp_path / name
+            rc = cli.main(["compare-hw", "--model", str(model), "--queries", "60",
+                           "--sweep", "0.01,0.002", "--out", str(out)])
+            assert rc == EXIT_OK
+            return out.read_text()
+
+        batched = report("batched.json")
+        monkeypatch.setattr(cli, "program_from_model", program_from_model_reference)
+        monkeypatch.setattr(cli, "crossbar_infer", crossbar_infer_reference)
+        assert report("reference.json") == batched
+        capsys.readouterr()
 
 
 class TestArgparse:

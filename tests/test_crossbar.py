@@ -1,7 +1,11 @@
 """Device model, closed-loop programming, analog stages, end-to-end twin."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inkspread.core import QuantizationSpec, StainRadii
 from inkspread.errors import DividerUnderflowError, ModeViolationError, NoCoverageError
@@ -10,6 +14,7 @@ from inkspread.crossbar import (
     DeviceParams,
     MemristorState,
     ProgrammingParams,
+    _program_arrays,
     apply_pulse,
     attenuation,
     crossbar_infer,
@@ -24,7 +29,9 @@ from inkspread.crossbar import (
     read_confidence,
 )
 from inkspread.inference import infer
-from inkspread.model import Model, Sample, diffuse, empty_plane, train_full
+from inkspread.model import IdsPlane, Model, Sample, diffuse, empty_plane, train_full
+
+from reference import crossbar_infer_reference, program_from_model_reference, program_plane_reference
 
 P = DeviceParams()
 
@@ -49,6 +56,23 @@ class TestDeviceModel:
             DeviceParams(R_on=500.0, R_off=100.0)
         with pytest.raises(ValueError):
             DeviceParams(D=0.0)
+
+    @pytest.mark.parametrize("field", ["D", "R_on", "R_off", "mu_v", "V_th"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_device_constants_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            DeviceParams(**{field: value})
+
+    @pytest.mark.parametrize("constants", [{"D": 1e-200}, {"D": 1e200}, {"mu_v": 1e300}])
+    def test_drift_rate_must_be_positive_and_finite(self, constants):
+        with pytest.raises(ValueError):
+            DeviceParams(**constants)
+
+    @pytest.mark.parametrize("field", ["v_prog", "base_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_controller_constants_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ProgrammingParams(**{field: value})
 
 
 class TestApplyPulse:
@@ -196,6 +220,13 @@ class TestProgramPlane:
         with pytest.raises(ValueError):
             program_plane(array, stain_plane(), 0.01, ProgrammingParams(v_prog=2.5))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+    def test_bad_epsilon_rejected(self, eps):
+        array = CrossbarArray(OUT6.levels, IN8.levels)
+        with pytest.raises(ValueError):
+            program_plane(array, stain_plane(), eps)
+        assert array.mode == "read" and np.all(array.w == P.D)
+
     def test_exact_programming_reads_back_attenuated_grid(self):
         array = CrossbarArray(OUT6.levels, IN8.levels)
         plane = stain_plane()
@@ -335,6 +366,11 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             crossbar_infer(hw, (2.5,))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_empty_model_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError):
+            program_from_model(Model([], SPECS, OUT, StainRadii(3.0, 1.5)), epsilon=eps)
+
     def test_reports_cover_every_plane(self, worked_model):
         hw = program_from_model(worked_model, epsilon=0.01)
         assert len(hw.reports) == 2
@@ -361,3 +397,134 @@ class TestStateDumps:
         lines = path.read_text().splitlines()
         assert lines[0] == "row,col,pulses,residual,budget_exhausted"
         assert len(lines) == 1 + 2 * 19
+
+
+# -- the batched controller and read path against the per-array reference ------
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def assert_same_report(got, want):
+    for name in ("pulse_counts", "residuals", "budget_exhausted"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert repr(got.epsilon) == repr(want.epsilon)
+    assert got.iterations == want.iterations == int(want.pulse_counts.max())
+
+
+def assert_same_hardware(got, want):
+    assert len(got.group_arrays) == len(want.group_arrays)
+    for got_row, want_row in zip(got.group_arrays, want.group_arrays):
+        assert len(got_row) == len(want_row)
+        for a, b in zip(got_row, want_row):
+            assert same_bits(a.w, b.w)
+            assert a.mode == b.mode == "read"
+    assert [len(row) for row in got.reports] == [len(row) for row in want.reports]
+    for got_row, want_row in zip(got.reports, want.reports):
+        for a, b in zip(got_row, want_row):
+            assert_same_report(a, b)
+
+
+@st.composite
+def small_models(draw):
+    """A train_full model of up to four samples on a few small planes."""
+    n_in = draw(st.integers(1, 2))
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(n_in)]
+    out = QuantizationSpec(0.0, 1.0, draw(st.integers(2, 7)))
+    radii = StainRadii(draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0)))
+    unit = st.floats(0.0, 1.0)
+    samples = [Sample(tuple(draw(unit) for _ in range(n_in)), draw(unit))
+               for _ in range(draw(st.integers(0, 4)))]
+    if not samples:
+        return Model([], specs, out, radii)
+    return train_full(samples, specs, out, radii)
+
+
+def controllers():
+    """Pulse budgets from one pulse (most cells run out) to the default."""
+    return st.builds(ProgrammingParams,
+                     base_width=st.floats(1e-7, 1e-5),
+                     budget_per_cell=st.one_of(st.integers(1, 30), st.just(10_000)))
+
+
+class TestBatchedTwinMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(small_models(), st.floats(1e-3, 0.05), controllers())
+    def test_program_from_model_is_bitwise_the_per_array_loop(self, model, eps, prog):
+        got = program_from_model(model, eps, prog=prog)
+        want = program_from_model_reference(model, eps, prog=prog)
+        assert_same_hardware(got, want)
+
+    def test_exhausted_budget_is_bitwise_the_per_array_loop(self, worked_model):
+        prog = ProgrammingParams(budget_per_cell=3)
+        got = program_from_model(worked_model, 0.0, prog=prog)
+        want = program_from_model_reference(worked_model, 0.0, prog=prog)
+        assert any(r.budget_exhausted.any() for row in got.reports for r in row)
+        assert_same_hardware(got, want)
+
+    def test_empty_model_programs_nothing(self):
+        empty = Model([], SPECS, OUT, StainRadii(3.0, 1.5))
+        got = program_from_model(empty, 0.01)
+        assert got.group_arrays == [] and got.reports == []
+        assert_same_hardware(got, program_from_model_reference(empty, 0.01))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 0.05), controllers())
+    def test_program_plane_twice_is_bitwise_the_per_array_loop(self, seed, eps, prog):
+        """The second write starts from the states the first one left."""
+        rng = np.random.default_rng(seed)
+        got, want = CrossbarArray(OUT6.levels, IN8.levels), CrossbarArray(OUT6.levels, IN8.levels)
+        for _ in range(2):
+            grid = rng.uniform(0, 1, (IN8.levels, OUT6.levels)) * (rng.uniform(size=(IN8.levels, 1)) < 0.5)
+            plane = IdsPlane(IN8, OUT6, grid)
+            assert_same_report(program_plane(got, plane, eps, prog),
+                               program_plane_reference(want, plane, eps, prog))
+            assert same_bits(got.w, want.w)
+            assert got.mode == "read"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 0.05), controllers())
+    def test_arrays_of_any_shape_and_state_keep_their_own_reports(self, seed, eps, prog):
+        """Arrays of one batch differ in shape, start state and largest pulse count."""
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(rng.integers(2, 7, 2)) for _ in range(rng.integers(1, 5))]
+        got = [CrossbarArray(*shape) for shape in shapes]
+        want = [CrossbarArray(*shape) for shape in shapes]
+        for a, b in zip(got, want):
+            a.w = b.w = rng.choice([0.0, 0.5, 1.0], a.w.shape) * P.D
+        grids = [rng.choice([0.0, 0.3, rng.uniform()], shape[::-1]) for shape in shapes]
+        planes = [IdsPlane(QuantizationSpec(0, 1, c), QuantizationSpec(0, 1, r), grid)
+                  for (r, c), grid in zip(shapes, grids)]
+        reports = _program_arrays(got, [grid.T * attenuation(P) for grid in grids], eps, prog)
+        for a, b, plane, report in zip(got, want, planes, reports):
+            assert_same_report(report, program_plane_reference(b, plane, eps, prog))
+            assert same_bits(a.w, b.w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models(), st.booleans(), st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
+                                                   min_size=1, max_size=12))
+    def test_crossbar_infer_is_bitwise_the_per_array_cascade(self, model, exact, points):
+        hw = program_from_model(model, 0.01, exact=exact)
+        for point in points:
+            q = point[:model.n_inputs]
+            try:
+                want = crossbar_infer_reference(hw, q)
+            except DividerUnderflowError:
+                with pytest.raises(DividerUnderflowError):
+                    crossbar_infer(hw, q)
+                continue
+            assert repr(crossbar_infer(hw, q)) == repr(want)
+
+    def test_any_array_in_program_mode_refuses_the_read(self, worked_model):
+        hw = program_from_model(worked_model, 0.01)
+        q = (2.5, 3.5)
+        want = crossbar_infer(hw, q)
+        for arrays in hw.group_arrays:
+            for arr in arrays:
+                arr.set_mode("program")
+                with pytest.raises(ModeViolationError):
+                    crossbar_infer(hw, q)
+                arr.set_mode("read")
+        assert crossbar_infer(hw, q) == want
