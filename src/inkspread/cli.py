@@ -101,7 +101,7 @@ def cmd_train(args) -> int:
         model = train_merged(samples, input_specs, output_spec, radii)
     save_model(model, args.out)
     print(f"groups: {len(model.groups)} (from {len(samples)} samples, policy {cfg.policy})")
-    print(f"stains: {sum(len(g.stains) for g in model.groups)} "
+    print(f"stains: {len(model.stains()[1])} "
           f"({Path(args.out).stat().st_size} bytes on disk)")
     print(f"model written to {args.out}")
     return EXIT_OK

@@ -8,6 +8,7 @@ file.  The full schema with defaults is the field list of RunConfig.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -70,6 +71,8 @@ class RunConfig:
                 raise ValueError(f"{lo} and {hi} must be set together")
         if self.radius_in <= 0 or self.radius_out <= 0:
             raise ValueError("stain radii must be positive")
+        if math.isnan(self.tolerance):
+            raise ValueError("tolerance must be a number, got NaN")
 
     def echo(self) -> dict:
         """Every setting as a plain dict, for report reproducibility."""

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# levels on a model's output axis, and on every axis of a model file; this
+# bounds the kernel's output-axis tables (at most MAX_LEVELS ** 2 slots)
+MAX_LEVELS = 4096
+
 
 @dataclass(frozen=True)
 class QuantizationSpec:

@@ -488,7 +488,7 @@ def program_from_model(
     _check_programming(epsilon, prog, params)
     stacks = model.input_stacks()
     group_arrays = [[CrossbarArray(model.output_spec.levels, spec.levels, params, v_read, diode_drop)
-                     for spec in model.input_specs] for _ in model.groups]
+                     for spec in model.input_specs] for _ in range(len(model.groups))]
     arrays = [arr for row in group_arrays for arr in row]
     planes = [IdsPlane(spec, model.output_spec, stack[g]) for g in range(len(group_arrays))
               for spec, stack in zip(model.input_specs, stacks)]

@@ -24,6 +24,7 @@ writes are taken, so the kernel is bitwise equal to dense planes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -55,33 +56,74 @@ class FuzzyOutput:
         return list(zip(self.level_values.tolist(), self.confidences.tolist()))
 
 
-class _Plan(NamedTuple):
-    """The query-free half of the kernel, rebuilt from the stains per call.
+class _Diagonal(NamedTuple):
+    """The runs of d + 1 stains, sorted by slot and then by group."""
 
-    A run is a stain and the next d stains of its group by output level;
-    its slot is ``(hi - lo) * n_out + lo - 1``, from the output levels of
-    its first and last stain.  Only runs that span at most ``n_span``
-    levels are kept, since a longer run from the same stain spans at least
-    as much.  Stains are ordered by output level.  ``diagonals[d]`` holds
-    the runs of d + 1 stains sorted by slot: for each, the run of d stains
-    it extends (``keep``) and the stain it adds (``last``); then where each
-    slot's runs begin (``starts``) and where the slots stand among
-    ``cells``, every slot some run reaches.  ``windows`` holds, per
-    half-width D whose ``tent = 1 - D / radius_out`` is above 0, the slot
-    of every level's window [t - D, t + D] clipped to the axis.
+    keep: np.ndarray | None  # per run, the run of d stains it extends; None on diagonal 0
+    last: np.ndarray | None  # per run, the stain it adds; None on diagonal 0
+    slot: np.ndarray         # per run, its slot
+    starts: np.ndarray       # where each slot's runs begin
+    cols: np.ndarray         # where those slots stand among the plan's cells
+
+
+class _Plan(NamedTuple):
+    """The query-free half of the kernel, held on the model and extended as
+    it grows.
+
+    Stains are ordered by output level, then by group; ``c_in`` holds their
+    input levels in that order.  A run is a stain and the next d stains of
+    its group by output level; its slot is ``(hi - lo) * n_out + lo - 1``,
+    from the output levels of its first and last stain.  Only runs that
+    span at most ``n_span`` levels are kept, since a longer run from the
+    same stain spans at least as much.  ``diagonals[d]`` holds the runs of
+    d + 1 stains (diagonal 0's runs are the stains themselves); ``cells``
+    is every slot some run reaches.  ``tent`` and ``windows`` depend only
+    on the output axis: per half-width D whose ``tent = 1 - D / radius_out``
+    is above 0, ``windows`` holds the slot of every level's window
+    [t - D, t + D] clipped to the axis.  A group's runs never cross groups,
+    so adding groups merges their own runs into each diagonal by slot.
     """
 
     c_in: np.ndarray
-    diagonals: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    diagonals: tuple[_Diagonal, ...]
     cells: np.ndarray
     n_span: int
     tent: np.ndarray
     windows: np.ndarray
 
 
-def _plan(model: "Model") -> _Plan:
-    c_in, c_out, sizes = model.stains()
-    group = np.repeat(np.arange(len(sizes)), sizes)
+def _plan(c_in: np.ndarray, c_out: np.ndarray, offsets: np.ndarray, n_out: int, radius_out: float) -> _Plan:
+    """The plan of a model's stain columns, built from scratch."""
+    half = np.arange(n_out)
+    half = half[1.0 - half / radius_out > 0.0]
+    t = np.arange(n_out)
+    lo, hi = np.maximum(t - half[:, None], 0), np.minimum(t + half[:, None], n_out - 1)
+    bare = _Plan(np.empty((0, c_in.shape[1]), dtype=np.int64), (), np.empty(0, dtype=np.int64),
+                 min(2 * int(half[-1]), n_out - 1), 1.0 - half / radius_out, (hi - lo) * n_out + lo)
+    return _extend_plan(bare, c_in, c_out, offsets)
+
+
+def _merge(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of two sorted key arrays stand once merged, each
+    new entry after the old entries of an equal key."""
+    at_new = np.searchsorted(old, new, side="right") + np.arange(len(new))
+    is_old = np.ones(len(old) + len(new), dtype=bool)
+    is_old[at_new] = False
+    return np.flatnonzero(is_old), at_new
+
+
+def _place(old: np.ndarray, new: np.ndarray, at_old: np.ndarray, at_new: np.ndarray) -> np.ndarray:
+    """Old and new entries, each at the place ``_merge`` gave it."""
+    out = np.empty((len(at_old) + len(at_new), *old.shape[1:]), dtype=np.int64)
+    out[at_old], out[at_new] = old, new
+    return out
+
+
+def _extend_plan(plan: _Plan, c_in: np.ndarray, c_out: np.ndarray, offsets: np.ndarray) -> _Plan:
+    """``plan`` with further groups merged in: their stains' input levels
+    (S, J) and output levels (S,), group g holding ``offsets[g]:offsets[g + 1]``."""
+    n_y = plan.windows.shape[1]
+    group = np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
     order = np.lexsort((group, c_out))
     c_in, c_out, group = c_in[order], c_out[order], group[order]
     # the stain after each one in its group, by output level; -1 for none
@@ -89,29 +131,34 @@ def _plan(model: "Model") -> _Plan:
     after = np.full(len(c_out), -1)
     same = group[by_group[1:]] == group[by_group[:-1]]
     after[by_group[:-1][same]] = by_group[1:][same]
-    n_y, r_out = model.output_spec.levels, model.radii.radius_out
-    half = np.arange(n_y)
-    half = half[1.0 - half / r_out > 0.0]
-    n_span = min(2 * int(half[-1]), n_y - 1)
+    # stains and runs: where the old and the new entries of the previous
+    # diagonal stand once merged, old entries first within a slot
+    old = plan.diagonals[0].slot if plan.diagonals else np.empty(0, dtype=np.int64)
+    stains = runs = _merge(old, c_out - 1)
+    diagonals = [(None, None, _place(old, c_out - 1, *stains))]
     first = last = np.arange(len(c_out))
-    diagonals = [(first, last, c_out - 1)]
-    while True:
+    for d in itertools.count(1):
         keep = np.flatnonzero(after[last] >= 0)
-        keep = keep[c_out[after[last[keep]]] - c_out[first[keep]] <= n_span]
-        if not len(keep):
+        keep = keep[c_out[after[last[keep]]] - c_out[first[keep]] <= plan.n_span]
+        if not len(keep) and d >= len(plan.diagonals):
             break
         first, last = first[keep], after[last[keep]]
         slot = (c_out[last] - c_out[first]) * n_y + c_out[first] - 1
-        by_slot = np.argsort(slot, kind="stable")
-        first, last, keep = first[by_slot], last[by_slot], keep[by_slot]
-        diagonals.append((keep, last, slot[by_slot]))
+        by_slot = np.lexsort((group[first], slot))
+        first, last, keep, slot = first[by_slot], last[by_slot], keep[by_slot], slot[by_slot]
+        old = (np.empty(0, dtype=np.int64),) * 3
+        if d < len(plan.diagonals):
+            was = plan.diagonals[d]
+            old = (runs[0][was.keep], stains[0][was.last], was.slot)
+        new = (runs[1][keep], stains[1][last], slot)
+        runs = _merge(old[2], slot)
+        diagonals.append(tuple(_place(o, n, *runs) for o, n in zip(old, new)))
     cells = np.unique(np.concatenate([slot for *_, slot in diagonals]))
-    for d, (keep, last, slot) in enumerate(diagonals):
+    out = []
+    for keep, last, slot in diagonals:
         slots, starts = np.unique(slot, return_index=True)
-        diagonals[d] = (keep, last, starts, np.searchsorted(cells, slots))
-    t = np.arange(n_y)
-    lo, hi = np.maximum(t - half[:, None], 0), np.minimum(t + half[:, None], n_y - 1)
-    return _Plan(c_in, diagonals, cells, n_span, 1.0 - half / r_out, (hi - lo) * n_y + lo)
+        out.append(_Diagonal(keep, last, slot, starts, np.searchsorted(cells, slots)))
+    return plan._replace(c_in=_place(plan.c_in, c_in, *stains), diagonals=tuple(out), cells=cells)
 
 
 def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
@@ -119,15 +166,17 @@ def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
     (B, J), at most ``chunk`` queries at a time."""
     n_y, r_out = model.output_spec.levels, model.radii.radius_out
     rows = np.zeros((len(levels), n_y))
-    plan = _plan(model)
+    plan = model.plan
     if not len(plan.c_in):
         return rows
     n_slots = (plan.n_span + 1) * n_y
-    # a_sj at each level the queries hold on plane j: (held levels, S)
-    held = [np.unique(levels[:, j], return_inverse=True) for j in range(model.n_inputs)]
+    # a_sj at each level the queries hold on plane j: (held levels, S); one
+    # query holds just its own levels
+    held = [np.unique(levels[:, j], return_inverse=True) if len(levels) > 1
+            else (levels[:, j], np.zeros(1, dtype=np.intp)) for j in range(model.n_inputs)]
     ramps_in = [1.0 - np.abs(u[:, None] - plan.c_in[:, j]) / model.radii.radius_in
                 for j, (u, _) in enumerate(held)]
-    widest = max(plan.c_in.size, n_slots, max(len(keep) for keep, *_ in plan.diagonals))
+    widest = max(plan.c_in.size, n_slots, max(len(diagonal.slot) for diagonal in plan.diagonals))
     step = max(1, min(chunk, _STEP_ELEMENTS // widest))
     for b0 in range(0, len(levels), step):
         a = [r[inverse[b0:b0 + step]] for r, (_, inverse) in zip(ramps_in, held)]
@@ -136,12 +185,12 @@ def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
         # over the cell's runs in every group
         m = np.zeros((len(a[0]), len(plan.cells)))
         runs = a
-        for d, (keep, last, starts, slots) in enumerate(plan.diagonals):
+        for d, (keep, last, _, starts, cols) in enumerate(plan.diagonals):
             if d:
                 runs = [np.maximum(np.take(run, keep, axis=1), np.take(aj, last, axis=1))
                         for run, aj in zip(runs, a)]
             best = np.maximum.reduceat(reduce(np.minimum, runs), starts, axis=1)
-            m[:, slots] = np.maximum(np.take(m, slots, axis=1), best)
+            m[:, cols] = np.maximum(np.take(m, cols, axis=1), best)
         out = rows[b0:b0 + step]
         # a cell whose M is not above 0 for any query here adds nothing
         live = (m > 0.0).any(axis=0)
@@ -252,8 +301,8 @@ def infer_trace(model: "Model", x) -> dict:
     groups of ``group_confidences``, and the crisp value come from the kernel.
     """
     levels = _query_levels(model, x)
-    c_in, c_out, sizes = model.stains()
-    n_y = model.output_spec.levels
+    c_in, c_out, offsets = model.stains()
+    n_y, sizes = model.output_spec.levels, np.diff(offsets)
     a = 1.0 - np.abs(np.array(levels) - c_in) / model.radii.radius_in
     r = 1.0 - np.abs(np.arange(1, n_y + 1) - c_out[:, None]) / model.radii.radius_out
     planes = np.zeros((len(sizes), n_y, model.n_inputs))

@@ -4,9 +4,13 @@ Training a sample quantizes it into one stain: its level on every input
 axis and its output level.  The stains of a group share one plane per input
 variable, a dense grid over (input level, output level) holding the
 cellwise max of pyramid tents centred on the stains; max keeps every cell
-in [0,1] and makes a plane independent of stain order.  A model is its
-stain list.  ``Model.plane`` and ``Model.input_stacks`` derive planes on
-demand with ``diffuse``; inference reads the stains directly.
+in [0,1] and makes a plane independent of stain order.  A model holds its
+stains as append-only columns: input levels (S, J), output levels (S,) and
+one offset per group.  Next to them it holds the query-free half of the
+inference kernel, its plan, built once with the model and extended as
+groups are appended, so no query rebuilds it.  ``Model.groups`` reads the
+columns back as ``IdsGroup`` snapshots; ``Model.plane`` and
+``Model.input_stacks`` derive planes on demand with ``diffuse``.
 
 Two training policies are provided: ``train_full`` allocates one group per
 sample, and ``train_error_gated`` allocates a group only when the current
@@ -19,12 +23,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuantizationSpec, StainRadii, quantize
+from .core import MAX_LEVELS, QuantizationSpec, StainRadii, quantize
 from .errors import EqualOutputConflict, NoCoverageError
+from .inference import _extend_plan, _plan, infer
 
 
 @dataclass
@@ -71,54 +77,168 @@ class IdsGroup:
             raise ValueError(f"output levels repeat within one group: {self.stains}")
 
 
-@dataclass
-class Model:
-    groups: list[IdsGroup]
-    input_specs: list[QuantizationSpec]
-    output_spec: QuantizationSpec
-    radii: StainRadii
+class Groups(Sequence):
+    """A model's groups, read-only: item ``g`` is a fresh ``IdsGroup`` of
+    group g's stains, so changing it leaves the model as it was."""
 
-    def __post_init__(self):
-        for group in self.groups:
-            self._check_group(group)
+    __slots__ = ("_model",)
+
+    def __init__(self, model: "Model"):
+        self._model = model
+
+    def __len__(self) -> int:
+        return len(self._model._offsets) - 1
+
+    def __getitem__(self, g: int) -> IdsGroup:
+        lo, hi = self._model._span(g)
+        return IdsGroup([(tuple(levels), c) for levels, c in
+                         zip(self._model._c_in[lo:hi].tolist(), self._model._c_out[lo:hi].tolist())])
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Model:
+    """Stains held as append-only columns, group by group, and the kernel
+    plan built from them once and extended as groups are appended.
+
+    The columns are input levels (S, n_inputs), output levels (S,) and
+    offsets (n_groups + 1,): group g holds stains ``offsets[g]:offsets[g +
+    1]``.  ``groups`` reads them back as ``IdsGroup`` snapshots.
+    """
+
+    def __init__(self, groups: Iterable[IdsGroup], input_specs: list[QuantizationSpec],
+                 output_spec: QuantizationSpec, radii: StainRadii):
+        groups = list(groups)
+        self._input_specs, self._output_spec, self._radii = tuple(input_specs), output_spec, radii
+        c_in, c_out = self._columns([stain for g in groups for stain in g.stains])
+        self._hold(c_in, c_out, np.cumsum([0] + [len(g.stains) for g in groups]))
+
+    @classmethod
+    def from_columns(cls, c_in: np.ndarray, c_out: np.ndarray, offsets: np.ndarray,
+                     input_specs: list[QuantizationSpec], output_spec: QuantizationSpec,
+                     radii: StainRadii) -> "Model":
+        """A model straight from its stain columns (see the class docstring)."""
+        model = cls.__new__(cls)
+        model._input_specs, model._output_spec, model._radii = tuple(input_specs), output_spec, radii
+        model._hold(c_in, c_out, offsets)
+        return model
+
+    def _hold(self, c_in, c_out, offsets) -> None:
+        """Check the stain columns, then hold read-only copies of them and
+        build their plan."""
+        if self._output_spec.levels > MAX_LEVELS:
+            raise ValueError(f"an output axis of {self._output_spec.levels} levels exceeds "
+                             f"the {MAX_LEVELS} a model holds")
+        c_in, c_out, offsets = (_frozen(np.array(a, dtype=np.int64)) for a in (c_in, c_out, offsets))
+        self._check(c_in, c_out, offsets)
+        self._c_in, self._c_out, self._offsets = c_in, c_out, offsets
+        self.plan = _plan(c_in, c_out, offsets, self._output_spec.levels, self._radii.radius_out)
+
+    @property
+    def input_specs(self) -> list[QuantizationSpec]:
+        return list(self._input_specs)
+
+    @property
+    def output_spec(self) -> QuantizationSpec:
+        return self._output_spec
+
+    @property
+    def radii(self) -> StainRadii:
+        return self._radii
 
     @property
     def n_inputs(self) -> int:
-        return len(self.input_specs)
+        return len(self._input_specs)
 
-    def _check_group(self, group: IdsGroup) -> None:
-        axes = [spec.levels for spec in [*self.input_specs, self.output_spec]]
-        for c_in, c_out in group.stains:
-            stain = (*c_in, c_out)
-            if len(stain) != len(axes) or not all(1 <= c <= n for c, n in zip(stain, axes)):
-                raise ValueError(f"stain levels {stain} lie outside the model's {axes} level axes")
+    @property
+    def groups(self) -> Groups:
+        return Groups(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Model):
+            return NotImplemented
+        return (self._input_specs == other._input_specs and self._output_spec == other._output_spec
+                and self._radii == other._radii
+                and all(np.array_equal(a, b) for a, b in zip(self.stains(), other.stains())))
+
+    def __repr__(self) -> str:
+        return (f"Model({len(self.groups)} groups, {len(self._c_out)} stains, "
+                f"input_specs={self.input_specs}, output_spec={self._output_spec}, radii={self._radii})")
+
+    def _columns(self, stains) -> tuple[np.ndarray, np.ndarray]:
+        for c_in, c_out in stains:
+            if len(c_in) != self.n_inputs:
+                raise ValueError(f"stain levels {(*c_in, c_out)} lie outside the model's "
+                                 f"{self._axes()} level axes")
+        return (np.array([c_in for c_in, _ in stains], dtype=np.int64).reshape(len(stains), self.n_inputs),
+                np.array([c_out for _, c_out in stains], dtype=np.int64))
+
+    def _axes(self) -> list[int]:
+        return [spec.levels for spec in [*self._input_specs, self._output_spec]]
+
+    def _check(self, c_in: np.ndarray, c_out: np.ndarray, offsets: np.ndarray) -> None:
+        """Columns that fit together, levels on their axes and output levels
+        distinct within each group."""
+        sizes = offsets[1:] - offsets[:-1]
+        if (c_in.shape != (len(c_out), self.n_inputs) or c_out.ndim != 1 or offsets.ndim != 1
+                or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(c_out) or (sizes < 0).any()):
+            raise ValueError(f"stain columns of shapes {c_in.shape}, {c_out.shape} and offsets "
+                             f"{offsets.shape} do not fit a model of {self.n_inputs} inputs")
+        axes = self._axes()
+        off = ((c_in < 1) | (c_in > axes[:-1])).any(axis=1) | (c_out < 1) | (c_out > axes[-1])
+        if off.any():
+            k = off.argmax()
+            raise ValueError(f"stain levels {(*c_in[k].tolist(), int(c_out[k]))} lie outside the model's "
+                             f"{axes} level axes")
+        group_level = np.sort(np.repeat(np.arange(len(sizes)), sizes) * (axes[-1] + 1) + c_out)
+        repeat = np.flatnonzero(group_level[1:] == group_level[:-1])
+        if len(repeat):
+            g, level = divmod(int(group_level[repeat[0]]), axes[-1] + 1)
+            raise ValueError(f"output levels repeat within one group: group {g} holds level {level} twice")
 
     def append_group(self, group: IdsGroup) -> None:
-        self._check_group(group)
-        self.groups.append(group)
+        """Add one group: its stains join the columns and its runs the plan."""
+        c_in, c_out = self._columns(group.stains)
+        offsets = np.array([0, len(c_out)])
+        self._check(c_in, c_out, offsets)
+        self.plan = _extend_plan(self.plan, c_in, c_out, offsets)
+        self._c_in = _frozen(np.concatenate([self._c_in, c_in]))
+        self._c_out = _frozen(np.concatenate([self._c_out, c_out]))
+        self._offsets = _frozen(np.append(self._offsets, len(self._c_out)))
 
     def stains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every stain as arrays, group by group: input levels (S, n_inputs),
-        output levels (S,) and the number of stains in each group (n_groups,)."""
-        c_in = [c for g in self.groups for levels, _ in g.stains for c in levels]
-        c_out = [c for g in self.groups for _, c in g.stains]
-        return (np.array(c_in, dtype=np.int64).reshape(len(c_out), self.n_inputs),
-                np.array(c_out, dtype=np.int64),
-                np.array([len(g.stains) for g in self.groups], dtype=np.int64))
+        """The stain columns, as read-only views: input levels (S, n_inputs),
+        output levels (S,) and group offsets (n_groups + 1,)."""
+        return self._c_in[:], self._c_out[:], self._offsets[:]
+
+    def _span(self, g: int) -> tuple[int, int]:
+        """Where group ``g``'s stains begin and end; a negative ``g`` counts from the end."""
+        g = range(len(self._offsets) - 1)[g]
+        return self._offsets[g], self._offsets[g + 1]
 
     def plane(self, g: int, j: int) -> IdsPlane:
         """Plane ``j`` of group ``g`` (0-based), derived by diffusing the group's stains."""
-        plane = empty_plane(self.input_specs[j], self.output_spec)
-        for c_in, c_out in self.groups[g].stains:
-            diffuse(plane, c_in[j], c_out, self.radii)
+        plane = empty_plane(self._input_specs[j], self._output_spec)
+        lo, hi = self._span(g)
+        for c_in, c_out in zip(self._c_in[lo:hi, j].tolist(), self._c_out[lo:hi].tolist()):
+            diffuse(plane, c_in, c_out, self._radii)
         return plane
 
     def input_stacks(self) -> list[np.ndarray]:
         """Per input variable, every group's plane stacked as (n_groups, n_in,
         n_out); derived on every call and not kept."""
-        n_g, n_y = len(self.groups), self.output_spec.levels
+        n_g, n_y = len(self.groups), self._output_spec.levels
         return [np.array([self.plane(g, j).grid for g in range(n_g)]).reshape(n_g, spec.levels, n_y)
-                for j, spec in enumerate(self.input_specs)]
+                for j, spec in enumerate(self._input_specs)]
 
 
 def diffuse(plane: IdsPlane, center_in: int, center_out: int, radii: StainRadii) -> IdsPlane:
@@ -167,10 +287,10 @@ def train_full(
 ) -> Model:
     """One group per sample; the plain policy with no memory reduction."""
     _check_samples(samples, input_specs)
-    model = Model([], list(input_specs), output_spec, radii)
-    for s in samples:
-        model.append_group(IdsGroup([_stain(s, model.input_specs, output_spec)]))
-    return model
+    c_in = [quantize(spec, x) for s in samples for spec, x in zip(input_specs, s.inputs)]
+    c_out = [quantize(output_spec, s.output) for s in samples]
+    return Model.from_columns(np.reshape(c_in, (len(samples), len(input_specs))), c_out,
+                              np.arange(len(samples) + 1), input_specs, output_spec, radii)
 
 
 def train_error_gated(
@@ -185,21 +305,22 @@ def train_error_gated(
     A sample is skipped when the model built so far already predicts its
     output within ``tolerance`` (absolute, raw output units).  No coverage at
     the sample's inputs counts as an error.  Group count never exceeds the
-    sample count, and equals it when tolerance is negative.
+    sample count, and equals it when tolerance is negative.  A NaN
+    tolerance would keep no sample the model covers, so it raises ValueError.
     """
-    from .inference import infer
-
+    if math.isnan(tolerance):
+        raise ValueError("tolerance is NaN")
     _check_samples(samples, input_specs)
-    model = Model([], list(input_specs), output_spec, radii)
+    model = Model([], input_specs, output_spec, radii)
     for s in samples:
         needs_group = True
-        if model.groups:
+        if len(model.groups):
             try:
                 needs_group = abs(infer(model, s.inputs) - s.output) > tolerance
             except NoCoverageError:
                 needs_group = True
         if needs_group:
-            model.append_group(IdsGroup([_stain(s, model.input_specs, output_spec)]))
+            model.append_group(IdsGroup([_stain(s, input_specs, output_spec)]))
     return model
 
 
@@ -217,19 +338,20 @@ def train_merged(
     group k, because groups 0..k-1 already hold the level, so the group is
     found by counting instead of by trying.  Worst case (all outputs at one
     level) degenerates to one group per sample, best case needs only as many
-    groups as the most popular output level has samples.
+    groups as the most popular output level has samples.  The model and
+    its plan are built once, from the packed groups.
     """
     _check_samples(samples, input_specs)
-    model = Model([], list(input_specs), output_spec, radii)
+    groups: list[IdsGroup] = []
     seen: Counter[int] = Counter()
     for s in samples:
         level = quantize(output_spec, s.output)
         k = seen[level]
         seen[level] += 1
-        if k == len(model.groups):
-            model.append_group(IdsGroup())
-        merge_into_group(model.groups[k], s, model.input_specs, output_spec)
-    return model
+        if k == len(groups):
+            groups.append(IdsGroup())
+        merge_into_group(groups[k], s, input_specs, output_spec)
+    return Model(groups, input_specs, output_spec, radii)
 
 
 def merge_into_group(

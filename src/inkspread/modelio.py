@@ -11,7 +11,8 @@ Binary layout, format version 2 (all little-endian):
     group sizes      n_groups x u32, summing to n_stains
     stains           n_stains x u32 levels (inputs, then output), group by group
 
-A model is its stain list, so a round trip is exact.  The header counts fix
+The stain columns are written and read as they are, so a round trip is
+exact.  The header counts fix
 the file length, which is checked before anything else is read.  Every axis
 holds at most ``MAX_LEVELS`` levels, which bounds what inference and plane
 export allocate for a model read from a file.  The model then rejects
@@ -26,12 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QuantizationSpec, StainRadii
-from .model import IdsGroup, IdsPlane, Model
+from .core import MAX_LEVELS, QuantizationSpec, StainRadii
+from .model import IdsPlane, Model
 
 MAGIC = b"IDSM"
 VERSION = 2
-MAX_LEVELS = 4096  # per axis; a derived plane then holds at most 16M cells
 _HEAD = struct.Struct("<4sIIII")  # magic, version, n_inputs, n_groups, n_stains
 _SPEC = struct.Struct("<ddI")
 _RADII = struct.Struct("<dd")
@@ -45,13 +45,12 @@ def _check_levels(specs: list[QuantizationSpec], where: str) -> None:
 
 def save_model(model: Model, path: str | Path) -> None:
     _check_levels([model.output_spec, *model.input_specs], str(path))
-    sizes = [len(g.stains) for g in model.groups]
-    stains = [c_in + (c_out,) for g in model.groups for c_in, c_out in g.stains]
-    parts = [_HEAD.pack(MAGIC, VERSION, model.n_inputs, len(sizes), len(stains))]
+    c_in, c_out, offsets = model.stains()
+    parts = [_HEAD.pack(MAGIC, VERSION, model.n_inputs, len(offsets) - 1, len(c_out))]
     parts += [_SPEC.pack(s.min, s.max, s.levels) for s in [model.output_spec, *model.input_specs]]
     parts.append(_RADII.pack(model.radii.radius_in, model.radii.radius_out))
-    parts.append(np.array(sizes, dtype="<u4").tobytes())
-    parts.append(np.array(stains, dtype="<u4").tobytes())
+    parts.append(np.diff(offsets).astype("<u4").tobytes())
+    parts.append(np.column_stack([c_in, c_out]).astype("<u4").tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -77,14 +76,13 @@ def load_model(path: str | Path) -> Model:
     _check_levels(specs, str(path))
     off = _HEAD.size + width * _SPEC.size + _RADII.size
     radii = StainRadii(*_RADII.unpack_from(raw, off - _RADII.size))
-    sizes = np.frombuffer(raw, dtype="<u4", count=n_groups, offset=off).tolist()
-    if sum(sizes) != n_stains:
-        raise ValueError(f"{path}: group sizes add up to {sum(sizes)}, the header announces {n_stains}")
+    offsets = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(np.frombuffer(raw, dtype="<u4", count=n_groups, offset=off), out=offsets[1:])
+    if offsets[-1] != n_stains:
+        raise ValueError(f"{path}: group sizes add up to {offsets[-1]}, the header announces {n_stains}")
     rows = np.frombuffer(raw, dtype="<u4", count=width * n_stains, offset=off + 4 * n_groups)
-    rows = rows.reshape(n_stains, width).tolist()
-    ends = np.cumsum(sizes).tolist()
-    groups = [IdsGroup([(tuple(r[:-1]), r[-1]) for r in rows[e - n:e]]) for n, e in zip(sizes, ends)]
-    return Model(groups, specs[1:], specs[0], radii)
+    rows = rows.reshape(n_stains, width).astype(np.int64)
+    return Model.from_columns(rows[:, :-1], rows[:, -1], offsets, specs[1:], specs[0], radii)
 
 
 def plane_to_csv(plane: IdsPlane, path: str | Path) -> None:

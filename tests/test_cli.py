@@ -79,6 +79,23 @@ class TestTrain:
         assert rc == EXIT_OK
         assert "policy error-gated" in capsys.readouterr().out
 
+    def test_nan_tolerance_exits_2(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.ids"
+        rc = cli.main(["train", "--config", str(workdir / "run.conf"),
+                       "--set", "policy=error-gated", "--set", "tolerance=nan", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "NaN" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_too_many_output_levels_exit_2(self, workdir, tmp_path, capsys):
+        rc = cli.main(["train", "--config", str(workdir / "run.conf"),
+                       "--set", "output_levels=5000", "--out", str(tmp_path / "m.ids")])
+        captured = capsys.readouterr()
+        assert rc == EXIT_INPUT
+        assert "exceeds" in captured.err and captured.err.count("\n") == 1
+
     def test_csv_without_path_rejected(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("dataset = csv\n")

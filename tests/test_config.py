@@ -43,6 +43,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             RunConfig(radius_in=-2.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            RunConfig(tolerance=float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            load_config(None, ["policy=error-gated", "tolerance=nan"])
+
     def test_half_open_bounds_pair(self):
         with pytest.raises(ValueError):
             RunConfig(input_min=1.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from inkspread.core import QuantizationSpec, StainRadii
+from inkspread.core import MAX_LEVELS, QuantizationSpec, StainRadii
 from inkspread.errors import EqualOutputConflict
 from inkspread.model import (
     IdsGroup,
@@ -147,6 +147,12 @@ class TestTrainErrorGated:
         model = train_error_gated(samples, GATE_SPECS, GATE_OUT, StainRadii(2, 1), 0.5)
         assert 1 <= len(model.groups) <= 60
 
+    def test_nan_tolerance_rejected(self):
+        # every comparison with NaN is false, so the gate would keep only
+        # the samples it cannot cover
+        with pytest.raises(ValueError, match="NaN"):
+            train_error_gated(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5), float("nan"))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_higher_tolerance_never_stores_more(self, seed):
         rng = np.random.default_rng(seed)
@@ -223,6 +229,15 @@ class TestModelAssembly:
         with pytest.raises(ValueError):
             Model([IdsGroup([((1, 1), 3)])], FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
         assert model.groups == []
+
+    def test_output_axis_is_bounded(self):
+        # the kernel's output-axis tables grow with the square of its levels
+        wide = QuantizationSpec(1, 2, MAX_LEVELS + 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            Model([], FIX_SPECS, wide, StainRadii(3, 1.5))
+        with pytest.raises(ValueError, match="exceeds"):
+            train_full(FIX_SAMPLES, FIX_SPECS, wide, StainRadii(3, 1.5))
+        assert len(Model([], FIX_SPECS, QuantizationSpec(1, 2, MAX_LEVELS), StainRadii(3, 1.5)).groups) == 0
 
     def test_input_stacks_reflect_plane_grids(self):
         model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))

@@ -1,14 +1,21 @@
 """Model file round trips and plane CSV export."""
 
+import contextlib
+import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from inkspread import cli
 from inkspread.core import QuantizationSpec, StainRadii
 from inkspread.inference import infer_fuzzy, infer_many_fuzzy
 from inkspread.model import IdsGroup, Model, Sample, train_full, train_merged
-from inkspread.modelio import MAX_LEVELS, load_model, plane_to_csv, save_model
+from inkspread.modelio import MAGIC, MAX_LEVELS, VERSION, load_model, plane_to_csv, save_model
 
 SPECS = [QuantizationSpec(1, 10, 19), QuantizationSpec(0, 5, 7)]
 OUT = QuantizationSpec(1, 2, 2)
@@ -165,9 +172,14 @@ class TestValidation:
             load_model(path)
 
     def _write(self, path, groups):
-        model = Model([], SPECS, OUT, RADII)
-        model.groups = groups  # bypasses the level checks, as a corrupt file would
-        save_model(model, path)
+        """Save ``groups`` with their levels as given, off their axes too, as
+        a corrupt file would hold them: a valid file of the same group sizes
+        gets its stain block replaced."""
+        sizes = [IdsGroup([((1, 1), k + 1) for k in range(len(g.stains))]) for g in groups]
+        save_model(Model(sizes, SPECS, OUT, RADII), path)
+        raw = path.read_bytes()
+        rows = np.array([(*c_in, c_out) for g in groups for c_in, c_out in g.stains], dtype="<u4")
+        path.write_bytes(raw[:len(raw) - rows.nbytes] + rows.tobytes())
 
     def test_out_of_range_levels_rejected(self, tmp_path):
         path = tmp_path / "m.model"
@@ -199,6 +211,70 @@ class TestValidation:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version 1"):
             load_model(path)
+
+
+class TestFuzzedFiles:
+    """Whatever the bytes, loading either gives back a model that saves to
+    the same bytes or raises ValueError, and the CLI then exits 2 with one
+    line on stderr."""
+
+    @staticmethod
+    def _outcome(raw: bytes) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.ids"
+            path.write_bytes(raw)
+            try:
+                model = load_model(path)
+            except ValueError:
+                model = None
+            else:
+                save_model(model, Path(tmp) / "again.ids")
+                assert (Path(tmp) / "again.ids").read_bytes() == raw
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["infer", "--model", str(path), "0.5", "0.5"])
+        if model is None:
+            assert rc == cli.EXIT_INPUT
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=160))
+    def test_arbitrary_bytes(self, raw):
+        self._outcome(raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=160))
+    def test_arbitrary_bytes_after_the_magic_and_version(self, tail):
+        self._outcome(MAGIC + struct.pack("<I", VERSION) + tail)
+
+    @staticmethod
+    def _valid(draw) -> bytes:
+        specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(draw(st.integers(1, 3)))]
+        out = QuantizationSpec(0.0, 1.0, draw(st.integers(2, 6)))
+        unit = st.floats(0.0, 1.0)
+        samples = [Sample([draw(unit) for _ in specs], draw(unit)) for _ in range(draw(st.integers(1, 6)))]
+        policy = train_merged if draw(st.booleans()) else train_full
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(policy(samples, specs, out, StainRadii(2.0, 2.0)), Path(tmp) / "m.ids")
+            return (Path(tmp) / "m.ids").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_truncations_of_a_valid_file(self, data):
+        raw = self._valid(data.draw)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "m.ids").write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                load_model(Path(tmp) / "m.ids")
+        self._outcome(raw[:cut])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_corrupt_byte_in_a_valid_file(self, data):
+        raw = bytearray(self._valid(data.draw))
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        self._outcome(bytes(raw))
 
 
 class TestPlaneCsv:
