@@ -29,7 +29,7 @@ from .config import RunConfig, load_config
 from .core import QuantizationSpec, StainRadii
 from .crossbar import DeviceParams, ProgrammingParams, crossbar_infer, program_from_model
 from .datasets import gen_circles, gen_f1, gen_f2, gen_two_spiral, load_iris
-from .errors import DividerUnderflowError, MalformedCsvError, NoCoverageError
+from .errors import MalformedCsvError, NoCoverageError
 from .inference import infer, infer_trace
 from .model import Sample, train_error_gated, train_full, train_merged
 from .modelio import load_model, plane_to_csv, save_model
@@ -220,6 +220,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare_hw(args) -> int:
+    if args.queries < 0:
+        raise ValueError(f"--queries must be >= 0, got {args.queries}")
     cfg = load_config(args.config, args.set)
     model = load_model(args.model)
     params = DeviceParams(cfg.hw_D, cfg.hw_R_on, cfg.hw_R_off, cfg.hw_mu_v, cfg.hw_V_th)
@@ -229,35 +231,30 @@ def cmd_compare_hw(args) -> int:
     queries = np.column_stack([
         rng.uniform(spec.min, spec.max, size=args.queries) for spec in model.input_specs
     ])
-    # the ideal answers do not depend on epsilon
-    ideals = []
-    for q in queries:
+    # the ideal answers do not depend on epsilon; NaN where uncovered
+    ideals = np.empty(len(queries))
+    for b, q in enumerate(queries):
         try:
-            ideals.append(infer(model, q))
+            ideals[b] = infer(model, q)
         except NoCoverageError:
-            ideals.append(None)
-    uncovered = ideals.count(None)
+            ideals[b] = np.nan
+    uncovered = int(np.isnan(ideals).sum())
     results = []
     for eps in epsilons:
         hw = program_from_model(model, eps, params, prog, cfg.hw_v_read, cfg.hw_diode_drop)
-        devs = []
-        underflows = 0
-        for q, ideal in zip(queries, ideals):
-            try:
-                analog = crossbar_infer(hw, q)
-            except DividerUnderflowError:
-                analog = None
-                underflows += 1
-            if ideal is not None and analog is not None:
-                devs.append(abs(analog - ideal))
+        # one batched read answers every query; NaN where the divider underflows
+        analog = crossbar_infer(hw, queries)
+        underflows = int(np.isnan(analog).sum())
+        devs = np.abs(analog - ideals)
+        devs = devs[~np.isnan(devs)]
         entry = {
             "epsilon": eps,
             "queries": int(args.queries),
             "compared": len(devs),
             "underflow_count": underflows,
             "no_coverage_count": uncovered,
-            "max_abs_deviation": max(devs) if devs else None,
-            "mean_abs_deviation": float(np.mean(devs)) if devs else None,
+            "max_abs_deviation": float(devs.max()) if len(devs) else None,
+            "mean_abs_deviation": float(np.mean(devs)) if len(devs) else None,
         }
         results.append(entry)
         print(f"epsilon={eps:g}: compared {entry['compared']}, "

@@ -29,9 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuantizationSpec, dequantize, quantize
+from .core import QuantizationSpec, quantize_many
 from .errors import DividerUnderflowError, ModeViolationError
 from .model import IdsPlane, Model
+
+# bounds the cells one step of a batched read converts or gathers: a slab of
+# groups shrinks to fit, and so does a chunk of queries
+_READ_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,9 @@ class DeviceParams:
             raise ValueError("device constants must all be finite")
         if not 0 < self.R_on < self.R_off:
             raise ValueError(f"need 0 < R_on < R_off, got {self.R_on}, {self.R_off}")
+        if not (self.R_on * self.R_on > 0 and math.isfinite(self.R_off * self.R_off)):
+            raise ValueError(f"R_on^2 and R_off^2 must be positive and finite, "
+                             f"got R_on = {self.R_on}, R_off = {self.R_off}")
         if self.D <= 0 or self.mu_v <= 0 or self.V_th <= 0:
             raise ValueError("D, mu_v, V_th must all be positive")
         try:
@@ -405,23 +412,34 @@ def program_plane_exact(array: CrossbarArray, target: IdsPlane) -> None:
     array.w = np.clip(_w_of_memristance(r, p), 0.0, p.D)
 
 
-def diode_min(voltages, drop: float = 0.7) -> float:
-    """Diode-network minimum: min of the inputs plus the forward drop."""
-    vs = [float(v) for v in voltages]
-    if not vs:
-        raise ValueError("diode_min needs at least one input voltage")
-    return min(vs) + drop
+def _diode_network(voltages, name: str, axis: int | None, reduce):
+    """The min or max a diode network takes, before its forward drop."""
+    vs = np.asarray(voltages if axis is not None else [float(v) for v in voltages], dtype=float)
+    if vs.size == 0:
+        raise ValueError(f"{name} needs at least one input voltage")
+    v = reduce(vs, axis=axis)
+    return float(v) if axis is None else v
 
 
-def diode_max(voltages, drop: float = 0.7) -> float:
-    """Diode-network maximum: max of the inputs minus the forward drop."""
-    vs = [float(v) for v in voltages]
-    if not vs:
-        raise ValueError("diode_max needs at least one input voltage")
-    return max(vs) - drop
+def diode_min(voltages, drop: float = 0.7, axis: int | None = None):
+    """Diode-network minimum: min of the inputs plus the forward drop.
+
+    A flat sequence of voltages gives one float; with ``axis``, an array
+    holds one network per index of its other axes and is reduced along it.
+    """
+    return _diode_network(voltages, "diode_min", axis, np.min) + drop
 
 
-def defuzz_circuit(mu_voltages, n_y: int, R: float = 1000.0, floor: float = 0.0) -> float:
+def diode_max(voltages, drop: float = 0.7, axis: int | None = None):
+    """Diode-network maximum: max of the inputs minus the forward drop.
+
+    A flat sequence of voltages gives one float; with ``axis``, an array
+    holds one network per index of its other axes and is reduced along it.
+    """
+    return _diode_network(voltages, "diode_max", axis, np.max) - drop
+
+
+def defuzz_circuit(mu_voltages, n_y: int, R: float = 1000.0, floor: float = 0.0):
     """Two-stage adder plus divider: returns the confidence-weighted level index.
 
     Stage 1 is an inverting adder whose feedback resistor n_y*R against
@@ -430,21 +448,27 @@ def defuzz_circuit(mu_voltages, n_y: int, R: float = 1000.0, floor: float = 0.0)
     sum(mu_i*i)/sum(mu_i), a fractional level index the caller dequantizes.
     R cancels algebraically and is kept only as the ladder's unit value.
 
-    Raises DividerUnderflowError when |stage2| is at or below ``floor``,
-    the analog counterpart of an uncovered query.
+    ``mu_voltages`` is one circuit's n_y level voltages, or a (batch, n_y)
+    array with one circuit per row.  When |stage2| is at or below
+    ``floor``, the analog counterpart of an uncovered query, one circuit
+    raises DividerUnderflowError and a batch row reads NaN.
     """
-    mu = np.asarray(mu_voltages, dtype=float)
-    if mu.shape != (n_y,):
+    # each row's sums run along contiguous memory, as one circuit's do
+    mu = np.ascontiguousarray(mu_voltages, dtype=float)
+    if mu.ndim not in (1, 2) or mu.shape[-1] != n_y:
         raise ValueError(f"expected {n_y} level voltages, got shape {mu.shape}")
     if R <= 0:
         raise ValueError("unit resistance must be positive")
-    stage1 = -float(np.sum(mu * np.arange(1, n_y + 1)))
-    stage2 = -float(np.sum(mu))
-    if abs(stage2) <= floor:
-        raise DividerUnderflowError(
-            f"divider denominator {abs(stage2):.3e} at or below floor {floor:.3e}"
-        )
-    return stage1 / stage2
+    stage1 = -np.sum(mu * np.arange(1, n_y + 1), axis=-1)
+    stage2 = -np.sum(mu, axis=-1)
+    under = np.abs(stage2) <= floor
+    if mu.ndim == 1:
+        if under:
+            raise DividerUnderflowError(
+                f"divider denominator {abs(stage2):.3e} at or below floor {floor:.3e}"
+            )
+        return float(stage1) / float(stage2)
+    return np.where(under, np.nan, stage1 / np.where(under, 1.0, stage2))
 
 
 @dataclass
@@ -486,6 +510,8 @@ def program_from_model(
     still gets its own report.
     """
     _check_programming(epsilon, prog, params)
+    if not math.isfinite(diode_drop):
+        raise ValueError(f"diode_drop must be finite, got {diode_drop}")
     stacks = model.input_stacks()
     group_arrays = [[CrossbarArray(model.output_spec.levels, spec.levels, params, v_read, diode_drop)
                      for spec in model.input_specs] for _ in range(len(model.groups))]
@@ -511,34 +537,72 @@ def program_from_model(
     )
 
 
-def crossbar_infer(hw: HardwareModel, x) -> float:
+def crossbar_infer(hw: HardwareModel, x):
     """Analog-path inference: reads, diode min/max cascade, divider, dequantize.
 
-    Every array of ``hw`` shares the device and read constants that
-    program_from_model gave it.  Per input, the selected column of every
-    group is gathered and read in one step.  Raises DividerUnderflowError
-    off the stained region (including the empty model) and
-    ModeViolationError if any array is still being programmed.
+    ``x`` is one query, shaped (n_inputs,), or a batch shaped (batch,
+    n_inputs).  One query returns a float and raises DividerUnderflowError
+    off the stained region (including the empty model) and ValueError on a
+    NaN input.  A batch returns a (batch,) array, NaN where the divider
+    underflows or an input is NaN; the other rows do not depend on it.
+
+    The batch is read as the hardware reads it, every array at once: per
+    input, each array's distinct selected columns are read once, and each
+    query gathers its rows from them.  The queries then pass, a chunk at a
+    time, through the diode min over inputs, the diode max over groups and
+    the divider.  Every array of ``hw`` shares the device and read
+    constants that program_from_model gave it, and must be in read mode,
+    else ModeViolationError.
     """
-    xs = [float(v) for v in x]
-    if len(xs) != len(hw.input_specs):
-        raise ValueError(f"query has {len(xs)} inputs, model expects {len(hw.input_specs)}")
-    cols = [quantize(spec, xi) for spec, xi in zip(hw.input_specs, xs)]
-    n_y = hw.output_spec.levels
-    drop = hw.diode_drop
-    level_mu = np.zeros(n_y)
-    if hw.group_arrays:
-        for arrays in hw.group_arrays:
-            for arr in arrays:
-                arr._require_read()
-        # (inputs, groups, rows): min over inputs, then max over groups
-        w = np.array([[arrays[j].w[:, col - 1] for arrays in hw.group_arrays]
-                      for j, col in enumerate(cols)])
-        plane_vs = _read_voltages(hw.group_arrays[0][0], w)
-        level_mu = (np.minimum.reduce(plane_vs) + drop).max(axis=0) - drop
-    level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)
-    level = min(max(level, 1.0), float(n_y))
-    return dequantize(hw.output_spec, level)
+    X = np.asarray(x, dtype=float)
+    n_in = len(hw.input_specs)
+    single = X.ndim == 1
+    if single:
+        if len(X) != n_in:
+            raise ValueError(f"query has {len(X)} inputs, model expects {n_in}")
+        X = X[None]
+    if X.ndim != 2 or X.shape[1] != n_in:
+        raise ValueError(f"expected queries shaped (batch, {n_in}), got {X.shape}")
+    nan = np.isnan(X).any(axis=1)
+    if single and nan[0]:
+        raise ValueError("NaN has no quantization level")
+    groups, out = hw.group_arrays, hw.output_spec
+    for arrays in groups:
+        for arr in arrays:
+            arr._require_read()
+    X = np.where(nan[:, None], [spec.min for spec in hw.input_specs], X)
+    n_y = out.levels
+    # per input: the voltages of each distinct selected column, (cols, groups,
+    # rows), read a bounded slab of groups at a time, and each query's index
+    # into them
+    reads = []
+    for j, spec in enumerate(hw.input_specs if groups else ()):
+        cols, inverse = np.unique(quantize_many(spec, X[:, j]) - 1, return_inverse=True)
+        block = np.empty((len(cols), len(groups), n_y))
+        slab = max(1, _READ_ELEMENTS // max(1, len(cols) * n_y))
+        for g0 in range(0, len(groups), slab):
+            w = np.array([arrays[j].w.take(cols, axis=1) for arrays in groups[g0:g0 + slab]])
+            block[:, g0:g0 + slab] = _read_voltages(groups[0][0], w).transpose(2, 0, 1)
+        reads.append((block, inverse))
+    values = np.empty(len(X))
+    step = max(1, _READ_ELEMENTS // (n_in * max(1, len(groups)) * n_y))
+    for b0 in range(0, len(X), step):
+        rows = slice(b0, b0 + step)
+        if reads:
+            # (inputs, queries, groups, rows): min over inputs, max over groups
+            plane_vs = np.array([block[inverse[rows]] for block, inverse in reads])
+            level_mu = diode_max(diode_min(plane_vs, hw.diode_drop, axis=0), hw.diode_drop, axis=1)
+        else:
+            level_mu = np.zeros((len(X[rows]), n_y))
+        level = np.clip(defuzz_circuit(level_mu, n_y, floor=hw.divider_floor), 1.0, n_y)
+        # the arithmetic of core.dequantize, row by row
+        values[rows] = out.min + (level - 1) * (out.max - out.min) / (out.levels - 1)
+    values[nan] = np.nan
+    if not single:
+        return values
+    if np.isnan(values[0]):
+        raise DividerUnderflowError(f"divider denominator at or below floor {hw.divider_floor:.3e}")
+    return float(values[0])
 
 
 def array_state_to_csv(array: CrossbarArray, path) -> None:

@@ -13,9 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from inkspread import cli
 from inkspread.cli import EXIT_BAND, EXIT_INPUT, EXIT_NO_COVERAGE, EXIT_OK
+from inkspread.config import RunConfig
+from inkspread.errors import DividerUnderflowError
 
 from reference import crossbar_infer_reference, program_from_model_reference
 
@@ -315,11 +319,99 @@ class TestCompareHw:
             assert rc == EXIT_OK
             return out.read_text()
 
+        def crossbar_infer_per_query(hw, X):
+            """The per-array reference, one query at a time, NaN on underflow."""
+            values = []
+            for q in X:
+                try:
+                    values.append(crossbar_infer_reference(hw, q))
+                except DividerUnderflowError:
+                    values.append(np.nan)
+            return np.array(values)
+
         batched = report("batched.json")
         monkeypatch.setattr(cli, "program_from_model", program_from_model_reference)
-        monkeypatch.setattr(cli, "crossbar_infer", crossbar_infer_reference)
+        monkeypatch.setattr(cli, "crossbar_infer", crossbar_infer_per_query)
         assert report("reference.json") == batched
         capsys.readouterr()
+
+    def test_one_batched_read_per_epsilon(self, model_path, monkeypatch, capsys):
+        calls = {"crossbar_infer": 0, "infer": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "60",
+                       "--sweep", "0.01,0.002"])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        assert calls == {"crossbar_infer": 2, "infer": 60}
+
+    def test_negative_query_count_exits_2(self, model_path, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: --queries must be >= 0") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_zero_queries_compare_nothing(self, model_path, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "0", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        [entry] = json.loads(out.read_text())["results"]
+        assert entry["compared"] == entry["underflow_count"] == entry["no_coverage_count"] == 0
+        assert entry["max_abs_deviation"] is None and entry["mean_abs_deviation"] is None
+
+
+HW_KEYS = [name for name in RunConfig.__dataclass_fields__ if name.startswith("hw_")]
+# free text without decimal digits (int() and float() read every script's
+# digits), plus numbers small enough that a valid setting runs quickly
+SETTING_VALUES = st.one_of(
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=12),
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1e-300", "1e300", "-0.0", "", " 2 ", "0x10", "1_0"]),
+)
+
+
+class TestCompareHwSettingsFuzz:
+    """Every --set or config-file line for compare-hw ends in exit 0 or 2,
+    with one line on stderr on exit 2 and nothing on exit 0."""
+
+    @staticmethod
+    def run(model_path, argv, capsys):
+        # a budget of 30 pulses a cell keeps non-converging settings quick
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "3",
+                       "--set", "hw_budget=30", *argv])
+        out = capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_INPUT)
+        if rc == EXIT_OK:
+            assert out.err == ""
+        else:
+            assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(HW_KEYS), SETTING_VALUES)
+    def test_set_override(self, model_path, capsys, key, value):
+        self.run(model_path, ["--set", f"{key}={value}"], capsys)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.tuples(st.sampled_from(HW_KEYS + ["seed"]), SETTING_VALUES)
+                     .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+                     st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=30)))
+    def test_one_line_config_file(self, model_path, workdir, capsys, line):
+        conf = workdir / "fuzz.conf"
+        conf.write_text(line + "\n")
+        self.run(model_path, ["--config", str(conf)], capsys)
 
 
 class TestArgparse:

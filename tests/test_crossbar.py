@@ -1,12 +1,14 @@
 """Device model, closed-loop programming, analog stages, end-to-end twin."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inkspread import crossbar
 from inkspread.core import QuantizationSpec, StainRadii
 from inkspread.errors import DividerUnderflowError, ModeViolationError, NoCoverageError
 from inkspread.crossbar import (
@@ -29,7 +31,7 @@ from inkspread.crossbar import (
     read_confidence,
 )
 from inkspread.inference import infer
-from inkspread.model import IdsPlane, Model, Sample, diffuse, empty_plane, train_full
+from inkspread.model import IdsPlane, Model, Sample, diffuse, empty_plane, train_full, train_merged
 
 from reference import crossbar_infer_reference, program_from_model_reference, program_plane_reference
 
@@ -62,6 +64,12 @@ class TestDeviceModel:
     def test_non_finite_device_constants_rejected(self, field, value):
         with pytest.raises(ValueError):
             DeviceParams(**{field: value})
+
+    @pytest.mark.parametrize("constants", [{"R_on": 1e-300}, {"R_off": 1e300}])
+    def test_squared_resistances_must_be_positive_and_finite(self, constants):
+        """The write controller steps R_M^2 between R_on^2 and R_off^2."""
+        with pytest.raises(ValueError):
+            DeviceParams(**constants)
 
     @pytest.mark.parametrize("constants", [{"D": 1e-200}, {"D": 1e200}, {"mu_v": 1e300}])
     def test_drift_rate_must_be_positive_and_finite(self, constants):
@@ -269,6 +277,20 @@ class TestDiodeStages:
             cascade = diode_max([diode_min(g, drop) for g in groups], drop)
             assert cascade == max(min(g) for g in groups)
 
+    def test_an_axis_reduces_one_network_per_remaining_index(self):
+        vs = np.array([[[0.3, 0.1], [0.2, 0.5]], [[0.4, 0.0], [0.6, 0.25]]])
+        assert same_bits(diode_min(vs, 0.7, axis=0), vs.min(axis=0) + 0.7)
+        assert same_bits(diode_max(vs, 0.7, axis=1), vs.max(axis=1) - 0.7)
+        cascade = diode_max(diode_min(vs, 0.7, axis=0), 0.7, axis=0)
+        assert same_bits(cascade, np.array([diode_max([diode_min(vs[:, g, t], 0.7) for g in range(2)], 0.7)
+                                            for t in range(2)]))
+
+    def test_empty_array_rejected_along_an_axis(self):
+        with pytest.raises(ValueError):
+            diode_min(np.zeros((0, 3)), axis=0)
+        with pytest.raises(ValueError):
+            diode_max(np.zeros((2, 0)), axis=1)
+
     def test_cascade_cancellation_general_voltages(self):
         rng = np.random.default_rng(43)
         for _ in range(300):
@@ -304,6 +326,24 @@ class TestDefuzzCircuit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             defuzz_circuit(np.zeros(3), 4)
+        with pytest.raises(ValueError):
+            defuzz_circuit(np.zeros((2, 3)), 4)
+        with pytest.raises(ValueError):
+            defuzz_circuit(np.zeros((2, 2, 4)), 4)
+
+    def test_rows_are_circuits_and_an_underflow_reads_nan(self):
+        rng = np.random.default_rng(5)
+        mu = rng.uniform(0, 1, (6, 9)) * (rng.uniform(size=(6, 1)) < 0.7)
+        mu[2] = 0.0
+        got = defuzz_circuit(mu, 9, floor=1e-4)
+        assert got.shape == (6,) and np.isnan(got[2])
+        for row, value in zip(mu, got):
+            try:
+                want = defuzz_circuit(row, 9, floor=1e-4)
+            except DividerUnderflowError:
+                assert np.isnan(value)
+                continue
+            assert repr(float(value)) == repr(want)
 
 
 SPECS = [QuantizationSpec(1, 10, 19), QuantizationSpec(1, 10, 19)]
@@ -377,6 +417,54 @@ class TestEndToEnd:
         assert all(len(group) == 2 for group in hw.reports)
 
 
+class TestBatchBoundary:
+    QUERIES = np.array([(2.5, 3.5), (9.9, 9.9), (1.5, 4.0), (3.0, 4.5)])
+
+    def test_off_the_stains_a_row_reads_nan_and_one_query_raises(self, worked_model):
+        hw = program_from_model(worked_model, epsilon=0.01)
+        got = crossbar_infer(hw, self.QUERIES)
+        assert got.shape == (4,) and np.isnan(got).tolist() == [False, True, False, False]
+        with pytest.raises(DividerUnderflowError):
+            crossbar_infer(hw, self.QUERIES[1])
+        assert repr(crossbar_infer(hw, self.QUERIES[0])) == repr(float(got[0]))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 1), (2, 2, 2), ()])
+    def test_wrong_shape_rejected(self, worked_model, shape):
+        hw = program_from_model(worked_model, epsilon=0.01)
+        with pytest.raises(ValueError):
+            crossbar_infer(hw, np.full(shape, 2.5))
+
+    def test_nan_row_reads_nan_and_leaves_the_others(self, worked_model):
+        hw = program_from_model(worked_model, epsilon=0.01)
+        want = crossbar_infer(hw, self.QUERIES)
+        for b in range(len(self.QUERIES)):
+            X = self.QUERIES.copy()
+            X[b, b % 2] = np.nan
+            got = crossbar_infer(hw, X)
+            assert np.isnan(got[b])
+            others = np.arange(len(X)) != b
+            assert same_bits(got[others], want[others])
+
+    def test_single_nan_query_rejected(self, worked_model):
+        hw = program_from_model(worked_model, epsilon=0.01)
+        with pytest.raises(ValueError):
+            crossbar_infer(hw, (2.5, math.nan))
+
+    def test_zero_queries_give_an_empty_array(self, worked_model):
+        hw = program_from_model(worked_model, epsilon=0.01)
+        got = crossbar_infer(hw, np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == float
+
+    def test_empty_model_reads_nan_everywhere(self):
+        hw = program_from_model(Model([], SPECS, OUT, StainRadii(3.0, 1.5)), epsilon=0.01)
+        assert np.isnan(crossbar_infer(hw, self.QUERIES)).all()
+
+    @pytest.mark.parametrize("drop", [math.nan, math.inf, -math.inf])
+    def test_non_finite_diode_drop_rejected(self, worked_model, drop):
+        with pytest.raises(ValueError):
+            program_from_model(worked_model, epsilon=0.01, diode_drop=drop)
+
+
 class TestStateDumps:
     def test_array_state_csv(self, tmp_path, worked_model):
         hw = program_from_model(worked_model, epsilon=0.01)
@@ -440,6 +528,23 @@ def small_models(draw):
     if not samples:
         return Model([], specs, out, radii)
     return train_full(samples, specs, out, radii)
+
+
+@st.composite
+def twin_models(draw):
+    """A train_full or train_merged model of up to five samples over one to
+    three inputs."""
+    n_in = draw(st.integers(1, 3))
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 6))) for _ in range(n_in)]
+    lo, span = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.1, 10.0))
+    out = QuantizationSpec(lo, lo + span, draw(st.integers(2, 6)))
+    radii = StainRadii(draw(st.floats(0.5, 4.0)), draw(st.floats(0.5, 4.0)))
+    unit = st.floats(0.0, 1.0)
+    samples = [Sample(tuple(draw(unit) for _ in range(n_in)), draw(st.floats(out.min, out.max)))
+               for _ in range(draw(st.integers(0, 5)))]
+    if not samples:
+        return Model([], specs, out, radii)
+    return draw(st.sampled_from([train_full, train_merged]))(samples, specs, out, radii)
 
 
 def controllers():
@@ -516,6 +621,50 @@ class TestBatchedTwinMatchesReference:
                     crossbar_infer(hw, q)
                 continue
             assert repr(crossbar_infer(hw, q)) == repr(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(twin_models(), st.booleans(), st.integers(1, 4), st.data())
+    def test_every_batch_row_is_bitwise_the_per_query_reference(self, model, exact, chunk, data):
+        """Batches of one query, one chunk and one chunk and a query."""
+        hw = program_from_model(model, 0.01, exact=exact)
+        size = data.draw(st.sampled_from([1, chunk, chunk + 1]))
+        coord = st.floats(-0.2, 1.2) | st.sampled_from([-math.inf, math.inf])
+        X = np.array(data.draw(st.lists(st.tuples(*[coord] * model.n_inputs), min_size=size, max_size=size)))
+        per_query = model.n_inputs * max(1, len(hw.group_arrays)) * model.output_spec.levels
+        divider = crossbar.defuzz_circuit
+        calls = []
+        with (patch.object(crossbar, "_READ_ELEMENTS", chunk * per_query),
+              patch.object(crossbar, "defuzz_circuit", lambda *a, **k: calls.append(1) or divider(*a, **k))):
+            got = crossbar_infer(hw, X)
+        assert got.shape == (size,) and len(calls) == -(-size // chunk)
+        for value, q in zip(got, X):
+            try:
+                want = crossbar_infer_reference(hw, q)
+            except DividerUnderflowError:
+                assert np.isnan(value)
+                continue
+            assert repr(float(value)) == repr(want)
+
+    @pytest.mark.parametrize("train", [train_full, train_merged])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_random_batch_is_bitwise_the_per_query_reference(self, train, exact):
+        rng = np.random.default_rng(11)
+        specs = [QuantizationSpec(0.0, 1.0, 9) for _ in range(3)]
+        out = QuantizationSpec(-2.3, 4.1, 11)
+        samples = [Sample(tuple(rng.uniform(0, 1, 3)), float(rng.uniform(-2.3, 4.1))) for _ in range(30)]
+        hw = program_from_model(train(samples, specs, out, StainRadii(3.0, 2.5)), 0.01, exact=exact)
+        X = rng.uniform(-0.1, 1.1, (300, 3))
+        got = crossbar_infer(hw, X)
+        covered = 0
+        for value, q in zip(got, X):
+            try:
+                want = crossbar_infer_reference(hw, q)
+            except DividerUnderflowError:
+                assert np.isnan(value)
+                continue
+            covered += 1
+            assert repr(float(value)) == repr(want)
+        assert covered > 100
 
     def test_any_array_in_program_mode_refuses_the_read(self, worked_model):
         hw = program_from_model(worked_model, 0.01)
