@@ -4,6 +4,8 @@ One option per line, ``key = value``, with ``#`` comments and blank lines
 ignored.  Unknown keys are rejected outright so a typo cannot silently fall
 back to a default.  Command-line ``--set key=value`` overrides win over the
 file.  The full schema with defaults is the field list of RunConfig.
+``hw_substeps`` is capped at ``crossbar.MAX_SUBSTEPS``, since every substep
+is a pass over the pulsed cells.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .crossbar import MAX_SUBSTEPS
 
 DATASETS = ("f1", "f2", "circles", "spiral", "iris", "csv")
 POLICIES = ("full", "error-gated", "merged")
@@ -73,6 +77,8 @@ class RunConfig:
             raise ValueError("stain radii must be positive")
         if math.isnan(self.tolerance):
             raise ValueError("tolerance must be a number, got NaN")
+        if self.hw_substeps > MAX_SUBSTEPS:
+            raise ValueError(f"hw_substeps must be <= {MAX_SUBSTEPS}, got {self.hw_substeps}")
 
     def echo(self) -> dict:
         """Every setting as a plain dict, for report reproducibility."""

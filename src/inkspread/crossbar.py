@@ -107,8 +107,11 @@ def _pulse_r_squared(r2, v, dt, substeps: int, params: DeviceParams):
     """
     lo, hi = params.R_on**2, params.R_off**2
     h = dt / substeps
-    for _ in range(substeps):
-        r2 = np.clip(r2 - params.kappa * v * h, lo, hi)
+    # a very wide pulse drifts past a rail, to inf at worst, and the clip
+    # puts it on that rail
+    with np.errstate(over="ignore"):
+        for _ in range(substeps):
+            r2 = np.clip(r2 - params.kappa * v * h, lo, hi)
     return r2
 
 
@@ -146,6 +149,11 @@ def degree_to_memristance(params: DeviceParams, s: float) -> float:
     return params.R_on / (1.0 - s * attenuation(params))
 
 
+# substeps of one pulse, each a pass over the pulsed cells; the closed form
+# is exact within a substep, so more only refine the clamp at the rails
+MAX_SUBSTEPS = 1000
+
+
 @dataclass
 class ProgrammingParams:
     """Closed-loop write controller settings.
@@ -155,7 +163,7 @@ class ProgrammingParams:
     then halves on every sign reversal, which brackets the target like a
     bisection.  A fixed-width scheme at these device constants would need
     ~3e5 pulses to cross the full resistance range and could not settle
-    within tight epsilon near R_on.
+    within tight epsilon near R_on.  ``substeps`` lies in 1..MAX_SUBSTEPS.
     """
 
     v_prog: float = 1.5
@@ -170,6 +178,8 @@ class ProgrammingParams:
             raise ValueError("v_prog and base_width must be positive")
         if self.substeps < 1 or self.budget_per_cell < 1:
             raise ValueError("substeps and budget_per_cell must be >= 1")
+        if self.substeps > MAX_SUBSTEPS:
+            raise ValueError(f"substeps must be <= {MAX_SUBSTEPS}, got {self.substeps}")
 
 
 @dataclass

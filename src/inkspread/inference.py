@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .core import level_values, quantize, quantize_many
 from .errors import NoCoverageError
 
 if TYPE_CHECKING:
+    from .core import QuantizationSpec
     from .model import Model
 
 _STEP_ELEMENTS = 1 << 21  # bounds a kernel step's largest array; the chunk shrinks to fit
@@ -106,10 +107,8 @@ def _plan(c_in: np.ndarray, c_out: np.ndarray, offsets: np.ndarray, n_out: int, 
 def _merge(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the entries of two sorted key arrays stand once merged, each
     new entry after the old entries of an equal key."""
-    at_new = np.searchsorted(old, new, side="right") + np.arange(len(new))
-    is_old = np.ones(len(old) + len(new), dtype=bool)
-    is_old[at_new] = False
-    return np.flatnonzero(is_old), at_new
+    return (np.arange(len(old)) + new.searchsorted(old, side="left"),
+            np.arange(len(new)) + old.searchsorted(new, side="right"))
 
 
 def _place(old: np.ndarray, new: np.ndarray, at_old: np.ndarray, at_new: np.ndarray) -> np.ndarray:
@@ -121,7 +120,11 @@ def _place(old: np.ndarray, new: np.ndarray, at_old: np.ndarray, at_new: np.ndar
 
 def _extend_plan(plan: _Plan, c_in: np.ndarray, c_out: np.ndarray, offsets: np.ndarray) -> _Plan:
     """``plan`` with further groups merged in: their stains' input levels
-    (S, J) and output levels (S,), group g holding ``offsets[g]:offsets[g + 1]``."""
+    (S, J) and output levels (S,), group g holding ``offsets[g]:offsets[g + 1]``.
+
+    Only the new runs are sorted; the held ones keep their order and move
+    to the places ``_merge`` gives them, and so do the cells.
+    """
     n_y = plan.windows.shape[1]
     group = np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
     order = np.lexsort((group, c_out))
@@ -134,15 +137,17 @@ def _extend_plan(plan: _Plan, c_in: np.ndarray, c_out: np.ndarray, offsets: np.n
     # stains and runs: where the old and the new entries of the previous
     # diagonal stand once merged, old entries first within a slot
     old = plan.diagonals[0].slot if plan.diagonals else np.empty(0, dtype=np.int64)
-    stains = runs = _merge(old, c_out - 1)
-    diagonals = [(None, None, _place(old, c_out - 1, *stains))]
+    new_slots = [c_out - 1]
+    stains = runs = _merge(old, new_slots[0])
+    diagonals = [(None, None, _place(old, new_slots[0], *stains))]
     first = last = np.arange(len(c_out))
     for d in itertools.count(1):
-        keep = np.flatnonzero(after[last] >= 0)
-        keep = keep[c_out[after[last[keep]]] - c_out[first[keep]] <= plan.n_span]
+        # a stain after the run's last one extends it, up to n_span levels
+        nxt = after[last]
+        keep = np.flatnonzero((nxt >= 0) & (c_out[nxt] - c_out[first] <= plan.n_span))
         if not len(keep) and d >= len(plan.diagonals):
             break
-        first, last = first[keep], after[last[keep]]
+        first, last = first[keep], nxt[keep]
         slot = (c_out[last] - c_out[first]) * n_y + c_out[first] - 1
         by_slot = np.lexsort((group[first], slot))
         first, last, keep, slot = first[by_slot], last[by_slot], keep[by_slot], slot[by_slot]
@@ -153,12 +158,68 @@ def _extend_plan(plan: _Plan, c_in: np.ndarray, c_out: np.ndarray, offsets: np.n
         new = (runs[1][keep], stains[1][last], slot)
         runs = _merge(old[2], slot)
         diagonals.append(tuple(_place(o, n, *runs) for o, n in zip(old, new)))
-    cells = np.unique(np.concatenate([slot for *_, slot in diagonals]))
+        new_slots.append(slot)
+    # cells gain the new runs' slots that no run reached before
+    fresh = np.unique(np.concatenate(new_slots))
+    if len(plan.cells):
+        fresh = fresh[plan.cells.take(plan.cells.searchsorted(fresh), mode="clip") != fresh]
+    cells = _place(plan.cells, fresh, *_merge(plan.cells, fresh))
     out = []
     for keep, last, slot in diagonals:
-        slots, starts = np.unique(slot, return_index=True)
-        out.append(_Diagonal(keep, last, slot, starts, np.searchsorted(cells, slots)))
+        # each slot's runs begin where the merged slots step
+        step = np.empty(len(slot), dtype=bool)
+        step[:1] = True
+        np.not_equal(slot[1:], slot[:-1], out=step[1:])
+        starts = np.arange(len(slot))[step]
+        out.append(_Diagonal(keep, last, slot, starts, cells.searchsorted(slot[starts])))
     return plan._replace(c_in=_place(plan.c_in, c_in, *stains), diagonals=tuple(out), cells=cells)
+
+
+@lru_cache(maxsize=16)
+def _output_tents(n_y: int, r_out: float) -> np.ndarray:
+    """Row c is the tent ``1 - |t - c| / r_out`` over the output levels t
+    (0-based): a read-only (n_y, n_y) view of one table of 2 n_y - 1 values."""
+    table = 1.0 - np.abs(np.arange(1 - n_y, n_y)) / r_out
+    return np.lib.stride_tricks.sliding_window_view(table, n_y)[::-1]
+
+
+def _cell_maxima(plan: _Plan, levels: np.ndarray, radius_in: float, chunk: int):
+    """M per cell at the quantized queries ``levels`` (B, J): one (queries,
+    cells) array per chunk of at most ``chunk`` queries, in query order.
+
+    A run's best A over the choices inside it is the min over planes of
+    each plane's max a_sj along the run; M per cell is the best over the
+    cell's runs in every group.
+    """
+    if len(levels) == 1:
+        # one query: its a_sj are one (S, J) table and M is one row, with no
+        # table of held levels and no chunks
+        a = 1.0 - np.abs(levels[0] - plan.c_in) / radius_in
+        m = np.zeros(len(plan.cells))
+        runs = a
+        for d, (keep, last, _, starts, cols) in enumerate(plan.diagonals):
+            if d:
+                runs = np.maximum(runs[keep], a[last])
+            m[cols] = np.maximum(m[cols], np.maximum.reduceat(reduce(np.minimum, runs.T), starts))
+        yield m[None]
+        return
+    # a_sj at each level the queries hold on plane j: (held levels, S)
+    held = [np.unique(levels[:, j], return_inverse=True) for j in range(levels.shape[1])]
+    ramps_in = [1.0 - np.abs(u[:, None] - plan.c_in[:, j]) / radius_in for j, (u, _) in enumerate(held)]
+    n_slots = (plan.n_span + 1) * plan.windows.shape[1]
+    widest = max(plan.c_in.size, n_slots, max(len(diagonal.slot) for diagonal in plan.diagonals))
+    step = max(1, min(chunk, _STEP_ELEMENTS // widest))
+    for b0 in range(0, len(levels), step):
+        a = [r[inverse[b0:b0 + step]] for r, (_, inverse) in zip(ramps_in, held)]
+        m = np.zeros((len(a[0]), len(plan.cells)))
+        runs = a
+        for d, (keep, last, _, starts, cols) in enumerate(plan.diagonals):
+            if d:
+                runs = [np.maximum(np.take(run, keep, axis=1), np.take(aj, last, axis=1))
+                        for run, aj in zip(runs, a)]
+            best = np.maximum.reduceat(reduce(np.minimum, runs), starts, axis=1)
+            m[:, cols] = np.maximum(np.take(m, cols, axis=1), best)
+        yield m
 
 
 def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
@@ -169,40 +230,22 @@ def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
     plan = model.plan
     if not len(plan.c_in):
         return rows
-    n_slots = (plan.n_span + 1) * n_y
-    # a_sj at each level the queries hold on plane j: (held levels, S); one
-    # query holds just its own levels
-    held = [np.unique(levels[:, j], return_inverse=True) if len(levels) > 1
-            else (levels[:, j], np.zeros(1, dtype=np.intp)) for j in range(model.n_inputs)]
-    ramps_in = [1.0 - np.abs(u[:, None] - plan.c_in[:, j]) / model.radii.radius_in
-                for j, (u, _) in enumerate(held)]
-    widest = max(plan.c_in.size, n_slots, max(len(diagonal.slot) for diagonal in plan.diagonals))
-    step = max(1, min(chunk, _STEP_ELEMENTS // widest))
-    for b0 in range(0, len(levels), step):
-        a = [r[inverse[b0:b0 + step]] for r, (_, inverse) in zip(ramps_in, held)]
-        # a run's best A over the choices inside it is the min over planes
-        # of each plane's max a_sj along the run; M per cell is the best
-        # over the cell's runs in every group
-        m = np.zeros((len(a[0]), len(plan.cells)))
-        runs = a
-        for d, (keep, last, _, starts, cols) in enumerate(plan.diagonals):
-            if d:
-                runs = [np.maximum(np.take(run, keep, axis=1), np.take(aj, last, axis=1))
-                        for run, aj in zip(runs, a)]
-            best = np.maximum.reduceat(reduce(np.minimum, runs), starts, axis=1)
-            m[:, cols] = np.maximum(np.take(m, cols, axis=1), best)
-        out = rows[b0:b0 + step]
+    b0 = 0
+    for m in _cell_maxima(plan, levels, model.radii.radius_in, chunk):
+        out = rows[b0:b0 + len(m)]
+        b0 += len(m)
         # a cell whose M is not above 0 for any query here adds nothing
-        live = (m > 0.0).any(axis=0)
-        if np.count_nonzero(live) <= _TENT_SHARE * (plan.n_span + len(plan.tent)):
-            t, lo = np.arange(1, n_y + 1), plan.cells[live] % n_y + 1
-            hi = lo + plan.cells[live] // n_y
-            ramp = np.minimum(1.0 - np.abs(t - lo[:, None]) / r_out, 1.0 - np.abs(t - hi[:, None]) / r_out)
+        live = ((m > 0.0).any(axis=0) if len(m) > 1 else m[0] > 0.0).nonzero()[0]
+        if len(live) <= _TENT_SHARE * (plan.n_span + len(plan.tent)):
+            # min(R_lo(t), R_hi(t)) of each live cell (lo, hi), 0-based
+            span, lo = np.divmod(plan.cells[live], n_y)
+            tents = _output_tents(n_y, r_out)
+            ramp = np.minimum(tents[lo], tents[lo + span])
             np.minimum(m[:, live, None], ramp).max(axis=1, initial=0.0, out=out)
             continue
         # the max over every slot inside each interval; slots no run
         # reaches stay 0, which adds nothing
-        slots = np.zeros((len(m), n_slots))
+        slots = np.zeros((len(m), (plan.n_span + 1) * n_y))
         slots[:, plan.cells] = m
         grid = slots.reshape(len(m), plan.n_span + 1, n_y)
         for span in range(1, plan.n_span + 1):
@@ -226,10 +269,19 @@ def _query_levels(model: "Model", x) -> list[int]:
     return [quantize(spec, v) for spec, v in zip(model.input_specs, xs)]
 
 
+@lru_cache(maxsize=64)
+def _held_level_values(spec: QuantizationSpec) -> np.ndarray:
+    """``level_values(spec)``, computed once per spec and read-only."""
+    values = level_values(spec)
+    values.flags.writeable = False
+    return values
+
+
 def infer_fuzzy(model: "Model", x) -> FuzzyOutput:
-    """Confidence in each output level for the query ``x``."""
+    """Confidence in each output level for the query ``x``; the level
+    values are shared by every answer on the same output axis, read-only."""
     levels = np.array([_query_levels(model, x)], dtype=np.int64)
-    return FuzzyOutput(level_values(model.output_spec), _confidences(model, levels, 1)[0])
+    return FuzzyOutput(_held_level_values(model.output_spec), _confidences(model, levels, 1)[0])
 
 
 def defuzzify_wsf(fz: FuzzyOutput) -> float:
@@ -238,10 +290,10 @@ def defuzzify_wsf(fz: FuzzyOutput) -> float:
     Invariant under scaling all confidences by the same positive factor,
     which is what lets the attenuated hardware readout defuzzify unchanged.
     """
-    total = float(np.sum(fz.confidences))
+    total = float(fz.confidences.sum())
     if total == 0.0:
         raise NoCoverageError("all output-level confidences are zero at this query")
-    weighted = float(np.sum(fz.level_values * fz.confidences))
+    weighted = float((fz.level_values * fz.confidences).sum())
     return weighted / total
 
 

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 from inkspread import cli
 from inkspread.cli import EXIT_BAND, EXIT_INPUT, EXIT_NO_COVERAGE, EXIT_OK
 from inkspread.config import RunConfig
+from inkspread.core import QuantizationSpec, StainRadii
+from inkspread.crossbar import MAX_SUBSTEPS
+from inkspread.datasets import gen_f2
 from inkspread.errors import DividerUnderflowError
+from inkspread.model import train_full
+from inkspread.modelio import save_model
 
 from reference import crossbar_infer_reference, program_from_model_reference
 
@@ -362,6 +367,51 @@ class TestCompareHw:
         assert err.startswith("error: --queries must be >= 0") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_substeps_above_the_cap_exit_2(self, model_path, workdir, tmp_path, capsys):
+        # every substep is a pass over the pulsed cells, so the count is bounded
+        out = tmp_path / "cmp.json"
+        for argv in (["compare-hw", "--model", str(model_path), "--queries", "3", "--out", str(out)],
+                     ["train", "--config", str(workdir / "run.conf"), "--out", str(tmp_path / "m.ids")]):
+            rc = cli.main([*argv, "--set", f"hw_substeps={MAX_SUBSTEPS + 1}"])
+            err = capsys.readouterr().err
+            assert rc == EXIT_INPUT
+            assert err == f"error: hw_substeps must be <= {MAX_SUBSTEPS}, got {MAX_SUBSTEPS + 1}\n"
+        assert not out.exists()
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "3",
+                       "--set", f"hw_substeps={MAX_SUBSTEPS}"])
+        assert rc == EXIT_OK and capsys.readouterr().err == ""
+
+    def test_wide_pulses_leave_stderr_empty(self, model_path):
+        # the drift of a pulse this wide overflows to inf; the clip to the
+        # rails defines the result, and numpy must not warn about it
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-m", "inkspread.cli", "compare-hw", "--model",
+                               str(model_path), "--queries", "3", "--set", "hw_base_width=1e308"],
+                              capture_output=True, text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == EXIT_OK
+        assert done.stderr == ""
+
+    def test_pulse_count_of_the_twin_model(self, tmp_path, monkeypatch, capsys):
+        # the twin model of the benchmark's crossbar-twin workload, at the
+        # default settings: every programmed cell's pulses, over the sweep
+        ds = gen_f2(50, 123)
+        specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
+        outs = [s.output for s in ds.samples]
+        model = train_full(ds.samples, specs, QuantizationSpec(min(outs), max(outs), 64), StainRadii(10.0, 10.0))
+        save_model(model, tmp_path / "twin.ids")
+        programmed = []
+        program = cli.program_from_model
+
+        def capture(*args):
+            programmed.append(program(*args))
+            return programmed[-1]
+
+        monkeypatch.setattr(cli, "program_from_model", capture)
+        rc = cli.main(["compare-hw", "--model", str(tmp_path / "twin.ids"), "--queries", "3",
+                       "--sweep", "0.01,0.002"])
+        assert rc == EXIT_OK and capsys.readouterr().err == ""
+        assert sum(rep.total_pulses for hw in programmed for row in hw.reports for rep in row) == 677_909
+
     def test_zero_queries_compare_nothing(self, model_path, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "0", "--out", str(out)])
@@ -383,6 +433,17 @@ SETTING_VALUES = st.one_of(
 )
 
 
+def ends_cleanly(rc, capsys, codes=(EXIT_OK, EXIT_INPUT)):
+    """An exit code among ``codes``, with one "error:" line on stderr on
+    exit 2 and an empty stderr otherwise."""
+    err = capsys.readouterr().err
+    assert rc in codes
+    if rc == EXIT_INPUT:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+
+
 class TestCompareHwSettingsFuzz:
     """Every --set or config-file line for compare-hw ends in exit 0 or 2,
     with one line on stderr on exit 2 and nothing on exit 0."""
@@ -392,12 +453,7 @@ class TestCompareHwSettingsFuzz:
         # a budget of 30 pulses a cell keeps non-converging settings quick
         rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "3",
                        "--set", "hw_budget=30", *argv])
-        out = capsys.readouterr()
-        assert rc in (EXIT_OK, EXIT_INPUT)
-        if rc == EXIT_OK:
-            assert out.err == ""
-        else:
-            assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+        ends_cleanly(rc, capsys)
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(HW_KEYS), SETTING_VALUES)
@@ -412,6 +468,80 @@ class TestCompareHwSettingsFuzz:
         conf = workdir / "fuzz.conf"
         conf.write_text(line + "\n")
         self.run(model_path, ["--config", str(conf)], capsys)
+
+
+ALL_KEYS = sorted(RunConfig.__dataclass_fields__)
+# the values above, the names a choice key takes, and text that reads as
+# a number only on some keys
+ANY_VALUE = st.one_of(SETTING_VALUES, st.sampled_from(
+    ["f1", "f2", "circles", "spiral", "iris", "csv", "full", "error-gated", "merged", "1.5", "-1"]))
+CONFIG_LINES = st.one_of(st.tuples(st.sampled_from(ALL_KEYS), ANY_VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+                         st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=30))
+
+
+class TestSettingsFuzz:
+    """Every --set or config-file line for train and bench, and every query
+    for infer, ends in exit 0, 2 or 3, with one stderr line on exit 2 and
+    none otherwise.  The settings ride on tiny pinned protocols, so a valid
+    one runs in milliseconds."""
+
+    @pytest.fixture
+    def in_workdir(self, workdir, monkeypatch):
+        # a fuzzed out_dir or dataset_path is a path relative to here
+        monkeypatch.chdir(workdir)
+        return workdir
+
+    # every suite but table1, whose grid of 18 fits is fixed; the pins keep
+    # each suite to a few milliseconds, and a fuzzed key may replace one
+    BENCH_PINS = ["repetitions=1", "points_per_class=8", "train_count=20", "test_count=20",
+                  "input_levels=16", "out_dir=bench-out"]
+
+    @classmethod
+    def bench(cls, suite, capsys, argv):
+        pins = [arg for pin in cls.BENCH_PINS for arg in ("--set", pin)]
+        ends_cleanly(cli.main(["bench", suite, *pins, *argv]), capsys)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.sampled_from(ALL_KEYS), ANY_VALUE), min_size=1, max_size=3))
+    def test_train_set_overrides(self, in_workdir, capsys, pairs):
+        out = in_workdir / "fuzz.ids"
+        out.unlink(missing_ok=True)
+        rc = cli.main(["train", "--config", "run.conf", "--out", str(out),
+                       *[arg for key, value in pairs for arg in ("--set", f"{key}={value}")]])
+        ends_cleanly(rc, capsys)
+        if rc == EXIT_OK:
+            # the model it wrote answers a query, or says it has no coverage
+            ends_cleanly(cli.main(["infer", "--model", str(out), "2.5", "3.5"]), capsys,
+                         (EXIT_OK, EXIT_NO_COVERAGE))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(CONFIG_LINES)
+    def test_train_one_line_config_file(self, in_workdir, capsys, line):
+        # the fuzzed file replaces the fixture's, so the csv dataset is pinned
+        conf = in_workdir / "fuzz.conf"
+        conf.write_text(line + "\n")
+        out = in_workdir / "fuzz.ids"
+        ends_cleanly(cli.main(["train", "--config", str(conf), "--out", str(out),
+                               "--set", "dataset=csv", "--set", "dataset_path=fixture.csv"]), capsys)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["spiral", "circles", "iris"]), st.sampled_from(ALL_KEYS), ANY_VALUE)
+    def test_bench_set_override(self, in_workdir, capsys, suite, key, value):
+        self.bench(suite, capsys, ["--set", f"{key}={value}"])
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["spiral", "circles", "iris"]), CONFIG_LINES)
+    def test_bench_one_line_config_file(self, in_workdir, capsys, suite, line):
+        conf = in_workdir / "fuzz.conf"
+        conf.write_text(line + "\n")
+        self.bench(suite, capsys, ["--config", str(conf)])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True).map(repr), min_size=1, max_size=3))
+    def test_infer_queries(self, model_path, capsys, values):
+        # "--" ends the options, so "-inf" and "-1e+20" read as inputs
+        rc = cli.main(["infer", "--model", str(model_path), "--", *values])
+        ends_cleanly(rc, capsys, (EXIT_OK, EXIT_INPUT, EXIT_NO_COVERAGE))
 
 
 class TestArgparse:

@@ -1,6 +1,7 @@
 """Device model, closed-loop programming, analog stages, end-to-end twin."""
 
 import math
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -12,11 +13,13 @@ from inkspread import crossbar
 from inkspread.core import QuantizationSpec, StainRadii
 from inkspread.errors import DividerUnderflowError, ModeViolationError, NoCoverageError
 from inkspread.crossbar import (
+    MAX_SUBSTEPS,
     CrossbarArray,
     DeviceParams,
     MemristorState,
     ProgrammingParams,
     _program_arrays,
+    _pulse_r_squared,
     apply_pulse,
     attenuation,
     crossbar_infer,
@@ -81,6 +84,20 @@ class TestDeviceModel:
     def test_non_finite_controller_constants_rejected(self, field, value):
         with pytest.raises(ValueError):
             ProgrammingParams(**{field: value})
+
+    def test_substeps_are_capped(self):
+        assert ProgrammingParams(substeps=MAX_SUBSTEPS).substeps == MAX_SUBSTEPS
+        for substeps in (0, MAX_SUBSTEPS + 1, 10**9):
+            with pytest.raises(ValueError):
+                ProgrammingParams(substeps=substeps)
+
+    def test_a_pulse_too_wide_to_drift_in_floats_lands_on_a_rail(self):
+        # the drift overflows to inf; the clip puts the cell on the rail
+        # its sign points to, and numpy does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r2 = _pulse_r_squared(np.array([P.R_on * P.R_off] * 2), np.array([1.5, -1.5]), 1e308, 10, P)
+        assert r2.tolist() == [P.R_on**2, P.R_off**2]
 
 
 class TestApplyPulse:

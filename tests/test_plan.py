@@ -21,7 +21,7 @@ from inkspread import model as model_mod
 from inkspread.core import QuantizationSpec, StainRadii
 from inkspread.datasets import gen_f2
 from inkspread.errors import EqualOutputConflict, NoCoverageError
-from inkspread.inference import _plan, infer, infer_many, infer_many_fuzzy
+from inkspread.inference import _plan, infer, infer_fuzzy, infer_many, infer_many_fuzzy
 from inkspread.model import IdsGroup, Model, Sample, merge_into_group, train_error_gated, train_full, train_merged
 from inkspread.modelio import load_model, save_model
 
@@ -102,6 +102,73 @@ def test_a_grown_plan_equals_one_built_from_scratch_and_the_oracle(growth, windo
     assert_same_plan(back.plan, model.plan)
     with kernel_path(windows):
         check_every_path(back, grouped, specs, out, radii, queries, want)
+
+
+@st.composite
+def deep_models(draw):
+    """Specs, radii, groups of samples and queries of a model whose plan has
+    three or more diagonals: its first group holds three or more stains on
+    consecutive output levels, which a run of three stains spans."""
+    n_inputs = draw(st.integers(1, 3))
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(n_inputs)]
+    n_out = draw(st.integers(3, 10))
+    out = QuantizationSpec(0.0, 1.0, n_out)
+    # radius_out >= 2 lets a run span two levels
+    radii = StainRadii(draw(st.floats(0.3, 4.0)), draw(st.floats(2.0, 8.0)))
+    unit = st.floats(0.0, 1.0)
+    start = draw(st.integers(1, n_out - 2))
+    levels = [list(range(start, draw(st.integers(start + 3, n_out + 1))))]
+    for _ in range(draw(st.integers(0, 3))):
+        levels.append(draw(st.lists(st.integers(1, n_out), min_size=1, max_size=n_out, unique=True)))
+    groups = [[Sample([draw(unit) for _ in range(n_inputs)], (k - 1) / (n_out - 1)) for k in part]
+              for part in levels]
+    queries = np.array([[draw(unit) for _ in range(n_inputs)] for _ in range(draw(st.integers(1, 6)))])
+    # and a query on each stain, so the queries are lit
+    queries = np.vstack([queries, [s.inputs for part in groups for s in part]])
+    return specs, out, radii, groups, queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(deep_models())
+def test_single_queries_equal_their_batch_rows_on_plans_of_three_or_more_diagonals(deep):
+    specs, out, radii, groups, queries = deep
+    model = Model([], specs, out, radii)
+    for part in groups:
+        group = IdsGroup()
+        for sample in part:
+            merge_into_group(group, sample, specs, out)
+        model.append_group(group)
+    assert len(model.plan.diagonals) >= 3
+    assert_same_plan(model.plan, plan_from_scratch(model))
+    want = np.array([fuzzy_reference(groups, specs, out, radii, q) for q in queries])
+    assert want.any()
+    for windows in (False, True):
+        with kernel_path(windows):
+            check_every_path(model, groups, specs, out, radii, queries, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_long_append_streams_keep_the_plan_equal_to_one_built_from_scratch(data):
+    draw = data.draw
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(draw(st.integers(1, 3)))]
+    n_out = draw(st.integers(2, 12))
+    out = QuantizationSpec(0.0, 1.0, n_out)
+    model = Model([], specs, out, StainRadii(draw(st.floats(0.3, 4.0)), draw(st.floats(0.3, 8.0))))
+    for _ in range(draw(st.integers(20, 60))):
+        # mostly single stains, as the error gate appends them, and some
+        # groups of several stains
+        size = draw(st.sampled_from([1, 1, 1, 2, 3, 6]))
+        levels = draw(st.lists(st.integers(1, n_out), min_size=1, max_size=size, unique=True))
+        model.append_group(IdsGroup([(tuple(draw(st.integers(1, spec.levels)) for spec in specs), k)
+                                     for k in levels]))
+        assert_same_plan(model.plan, plan_from_scratch(model))
+    queries = np.array([[draw(st.floats(0.0, 1.0)) for _ in specs] for _ in range(4)])
+    for windows in (False, True):
+        with kernel_path(windows):
+            rows = infer_many_fuzzy(model, queries)
+            for q, row in zip(queries, rows):
+                assert np.array_equal(infer_fuzzy(model, q).confidences, row)
 
 
 def test_runs_of_one_slot_stand_in_group_order():
