@@ -277,8 +277,17 @@ def cmd_dump_plane(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as one stderr line, without the usage
+    block, and exits 2; the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        # an unrecognized argument is echoed as typed, line breaks and all
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="inkspread",
         description="Fuzzy modeling on ink-drop-spread planes, with an analog crossbar twin.",
     )

@@ -62,7 +62,10 @@ def quantize(spec: QuantizationSpec, x: float) -> int:
 
 def quantize_many(spec: QuantizationSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`quantize`; returns an int64 array of level indices."""
-    t = (np.asarray(xs, dtype=float) - spec.min) / (spec.max - spec.min) * (spec.levels - 1)
+    # Python floats overflow to inf, and inf / inf gives NaN, without a
+    # warning; so do these, and the NaN raises below as it does there
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (np.asarray(xs, dtype=float) - spec.min) / (spec.max - spec.min) * (spec.levels - 1)
     if np.isnan(t).any():
         raise ValueError("NaN has no quantization level")
     return np.clip(np.rint(t), 0, spec.levels - 1).astype(np.int64) + 1

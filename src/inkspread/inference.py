@@ -112,9 +112,14 @@ def _merge(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _place(old: np.ndarray, new: np.ndarray, at_old: np.ndarray, at_new: np.ndarray) -> np.ndarray:
-    """Old and new entries, each at the place ``_merge`` gave it."""
+    """Old and new entries, each at the place ``_merge`` gave it.  A table
+    is placed one column at a time, which scatters faster than its rows."""
     out = np.empty((len(at_old) + len(at_new), *old.shape[1:]), dtype=np.int64)
-    out[at_old], out[at_new] = old, new
+    if out.ndim == 1:
+        out[at_old], out[at_new] = old, new
+    else:
+        for column, o, n in zip(out.T, old.T, new.T):
+            column[at_old], column[at_new] = o, n
     return out
 
 
@@ -244,18 +249,23 @@ def _confidences(model: "Model", levels: np.ndarray, chunk: int) -> np.ndarray:
             np.minimum(m[:, live, None], ramp).max(axis=1, initial=0.0, out=out)
             continue
         # the max over every slot inside each interval; slots no run
-        # reaches stay 0, which adds nothing
-        slots = np.zeros((len(m), (plan.n_span + 1) * n_y))
-        slots[:, plan.cells] = m
-        grid = slots.reshape(len(m), plan.n_span + 1, n_y)
+        # reaches stay 0, which adds nothing.  The queries stand on the last
+        # axis, so every span and window step below reads and writes
+        # contiguous blocks of whole slots rather than strided columns.
+        slots = np.zeros(((plan.n_span + 1) * n_y, len(m)))
+        slots[plan.cells] = m.T
+        grid = slots.reshape(plan.n_span + 1, n_y, len(m))
         for span in range(1, plan.n_span + 1):
-            inner = grid[:, span, :n_y - span]
-            np.maximum(inner, grid[:, span - 1, :n_y - span], out=inner)
-            np.maximum(inner, grid[:, span - 1, 1:n_y - span + 1], out=inner)
+            inner = grid[span, :n_y - span]
+            np.maximum(inner, grid[span - 1, :n_y - span], out=inner)
+            np.maximum(inner, grid[span - 1, 1:n_y - span + 1], out=inner)
         # min(R_lo(t), R_hi(t)) is the tent at half-width max(t - lo, hi - t)
         # = D, and every pair inside t's window of half-width D reaches it
+        best = np.zeros((n_y, len(m)))
         for r, window in zip(plan.tent, plan.windows):
-            np.maximum(out, np.minimum(np.take(slots, window, axis=1), r), out=out)
+            reached = slots[window]
+            np.maximum(best, np.minimum(reached, r, out=reached), out=best)
+        out[...] = best.T
     return rows
 
 

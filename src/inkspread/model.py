@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_LEVELS, QuantizationSpec, StainRadii, quantize
+from .core import MAX_LEVELS, QuantizationSpec, StainRadii, quantize, quantize_many
 from .errors import EqualOutputConflict, NoCoverageError
 from .inference import _extend_plan, _plan, infer
 
@@ -296,10 +296,12 @@ def train_full(
 ) -> Model:
     """One group per sample; the plain policy with no memory reduction."""
     _check_samples(samples, input_specs)
-    c_in = [quantize(spec, x) for s in samples for spec, x in zip(input_specs, s.inputs)]
-    c_out = [quantize(output_spec, s.output) for s in samples]
-    return Model.from_columns(np.reshape(c_in, (len(samples), len(input_specs))), c_out,
-                              np.arange(len(samples) + 1), input_specs, output_spec, radii)
+    x = np.array([s.inputs for s in samples], dtype=float)
+    c_in = np.empty(x.shape, dtype=np.int64)
+    for j, spec in enumerate(input_specs):
+        c_in[:, j] = quantize_many(spec, x[:, j])
+    c_out = quantize_many(output_spec, [s.output for s in samples])
+    return Model.from_columns(c_in, c_out, np.arange(len(samples) + 1), input_specs, output_spec, radii)
 
 
 def train_error_gated(

@@ -6,6 +6,7 @@ things down without testing anything extra.
 """
 
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -433,13 +434,22 @@ SETTING_VALUES = st.one_of(
 )
 
 
+def exit_code(argv):
+    """``cli.main``'s exit code, also when the parser exits on an argument error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def ends_cleanly(rc, capsys, codes=(EXIT_OK, EXIT_INPUT)):
     """An exit code among ``codes``, with one "error:" line on stderr on
-    exit 2 and an empty stderr otherwise."""
+    exit 2 and an empty stderr otherwise.  The parser's errors name the
+    command before "error:"."""
     err = capsys.readouterr().err
     assert rc in codes
     if rc == EXIT_INPUT:
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert re.match(r"(inkspread( [\w-]+)?: )?error: ", err) and len(err.splitlines()) == 1
     else:
         assert err == ""
 
@@ -537,10 +547,12 @@ class TestSettingsFuzz:
         self.bench(suite, capsys, ["--config", str(conf)])
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True).map(repr), min_size=1, max_size=3))
+    @given(st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                              st.text(st.characters(exclude_categories=("Cs",)), max_size=12)),
+                    min_size=1, max_size=3))
     def test_infer_queries(self, model_path, capsys, values):
         # "--" ends the options, so "-inf" and "-1e+20" read as inputs
-        rc = cli.main(["infer", "--model", str(model_path), "--", *values])
+        rc = exit_code(["infer", "--model", str(model_path), "--", *values])
         ends_cleanly(rc, capsys, (EXIT_OK, EXIT_INPUT, EXIT_NO_COVERAGE))
 
 
@@ -548,6 +560,19 @@ class TestArgparse:
     def test_no_subcommand_exits(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+    @pytest.mark.parametrize("argv, line", [
+        (["infer", "--model", "{m}", "abc", "5"],
+         "inkspread infer: error: argument inputs: invalid float value: 'abc'"),
+        (["compare-hw", "--model", "{m}", "--queries", "x"],
+         "inkspread compare-hw: error: argument --queries: invalid int value: 'x'"),
+        # an unrecognized argument is echoed as typed, so its line break goes
+        (["infer", "--model", "{m}", "1", "2", "--x\ny"], "inkspread: error: unrecognized arguments: --x y"),
+    ])
+    def test_argument_error_is_one_line(self, model_path, capsys, argv, line):
+        assert exit_code([arg.format(m=model_path) for arg in argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n" and captured.out == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,9 +1,14 @@
 """Plane diffusion, stain groups, derived planes, and the three training policies."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from inkspread.core import MAX_LEVELS, QuantizationSpec, StainRadii
+from inkspread.core import MAX_LEVELS, QuantizationSpec, StainRadii, quantize
 from inkspread.errors import EqualOutputConflict
 from inkspread.model import (
     IdsGroup,
@@ -111,6 +116,54 @@ class TestTrainFull:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train_full([Sample((1.0,), 1.0)], FIX_SPECS, FIX_OUT, StainRadii(1, 1))
+
+    def test_levels_equal_scalar_quantize(self):
+        # ties between two levels go to the even level; values off the axis,
+        # +-inf and differences that overflow clamp to the end levels, all
+        # with no numpy warning, as the scalar quantize gives them
+        specs = [QuantizationSpec(0.0, 4.0, 5), QuantizationSpec(-1e308, 0.0, 5)]
+        out = QuantizationSpec(-2.0, 2.0, 9)
+        values = [0.5, 1.5, 2.5, 3.5, 0.0, 4.0, -3.0, 9.0, math.inf, -math.inf, 1.7e308, -1.7e308, -0.25e308]
+        samples = [Sample((x, y), z) for x, y, z in zip(values, values[::-1], values[3:] + values[:3])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_full(samples, specs, out, StainRadii(1, 1))
+        c_in, c_out, offsets = model.stains()
+        assert c_in.tolist() == [[quantize(spec, x) for spec, x in zip(specs, s.inputs)] for s in samples]
+        assert c_in[:4, 0].tolist() == [1, 3, 3, 5]
+        assert c_out.tolist() == [quantize(out, s.output) for s in samples]
+        assert offsets.tolist() == list(range(len(samples) + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_levels_equal_scalar_quantize_on_any_axis(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        value = st.floats(allow_nan=False)
+
+        def spec():
+            lo, hi = sorted(data.draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+            return QuantizationSpec(lo, hi, data.draw(st.integers(2, 300)))
+
+        specs, out = [spec(), spec()], spec()
+        samples = [Sample((data.draw(value), data.draw(value)), data.draw(value))
+                   for _ in range(data.draw(st.integers(1, 8)))]
+        try:
+            # inf - inf or inf / inf on some axis has no level
+            want = ([[quantize(spec, x) for spec, x in zip(specs, s.inputs)] for s in samples],
+                    [quantize(out, s.output) for s in samples])
+        except ValueError:
+            with pytest.raises(ValueError, match="^NaN has no quantization level$"):
+                train_full(samples, specs, out, StainRadii(1, 1))
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_in, c_out, _ = train_full(samples, specs, out, StainRadii(1, 1)).stains()
+        assert (c_in.tolist(), c_out.tolist()) == want
+
+    @pytest.mark.parametrize("sample", [Sample((math.nan, 4.0), 1.0), Sample((1.5, 4.0), math.nan)])
+    def test_nan_rejected(self, sample):
+        with pytest.raises(ValueError, match="^NaN has no quantization level$"):
+            train_full([FIX_SAMPLES[0], sample], FIX_SPECS, FIX_OUT, StainRadii(1, 1))
 
     def test_thousand_samples_thousand_groups(self):
         rng = np.random.default_rng(0)

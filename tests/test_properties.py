@@ -10,13 +10,14 @@ windows; each way is held to the oracle by forcing the choice between them.
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inkspread import inference
-from inkspread.core import QuantizationSpec, StainRadii, quantize
+from inkspread.core import QuantizationSpec, StainRadii, quantize, quantize_many
 from inkspread.errors import NoCoverageError
 from inkspread.inference import infer, infer_fuzzy, infer_many, infer_many_fuzzy
 from inkspread.model import Sample, train_error_gated, train_full, train_merged
@@ -131,11 +132,20 @@ def test_merged_groups_of_many_stains_over_three_inputs(data, windows):
     unit = st.floats(0.0, 1.0)
     samples = [Sample([draw(unit) for _ in range(3)], draw(unit))
                for _ in range(draw(st.integers(8, 30)))]
-    queries = np.array([[draw(unit) for _ in range(3)] for _ in range(draw(st.integers(1, 10)))])
+    # a step bound that makes chunks of `step` queries, and batches at the
+    # edges of a chunk: one query, one chunk and one chunk plus one query
+    step = draw(st.integers(1, 4))
+    n_queries = draw(st.one_of(st.sampled_from([1, step, step + 1]), st.integers(1, 10)))
+    queries = np.array([[draw(unit) for _ in range(3)] for _ in range(n_queries)])
     model = train_merged(samples, specs, out, radii)
     grouped = _first_fit_partition(samples, out)
     want = np.array([fuzzy_reference(grouped, specs, out, radii, q) for q in queries])
-    with kernel_path(windows):
+    plan = model.plan
+    widest = max(plan.c_in.size, (plan.n_span + 1) * out.levels, *(len(d.slot) for d in plan.diagonals))
+    levels = np.column_stack([quantize_many(spec, queries[:, j]) for j, spec in enumerate(specs)])
+    with kernel_path(windows), patch.object(inference, "_STEP_ELEMENTS", step * widest):
+        chunks = [len(m) for m in inference._cell_maxima(plan, levels, radii.radius_in, 64)]
+        assert chunks == [min(step, n_queries - b) for b in range(0, n_queries, step)]
         check_every_path(model, grouped, specs, out, radii, queries, want)
 
 
