@@ -7,7 +7,7 @@ defuzzifier, computed straight from the stains.  A behavioral
 memristor-crossbar twin evaluates the same model in the analog domain.
 """
 
-from .core import QuantizationSpec, StainRadii, dequantize, pyramid_membership, quantize
+from .core import QuantizationSpec, StainRadii, dequantize, quantize
 from .errors import (
     DividerUnderflowError,
     EqualOutputConflict,
@@ -22,7 +22,6 @@ __all__ = [
     "StainRadii",
     "quantize",
     "dequantize",
-    "pyramid_membership",
     "IdsPlane",
     "IdsGroup",
     "Model",

@@ -1,4 +1,4 @@
-"""Experiment drivers and metrics for the regression and classification suites.
+"""Experiment drivers, metrics, protocols and bands of the benchmark suites.
 
 Regression quality is fraction of variance unexplained (FVU): residual sum
 of squares over total variance of the reference outputs.  A query the model
@@ -13,23 +13,44 @@ weighted-sum crisp output is reported alongside it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import QuantizationSpec, StainRadii, level_values, quantize
-from .datasets import Dataset, gen_circles, gen_f1, gen_f2, spiral_points, gen_two_spiral
+from .datasets import gen_circles, gen_f1, gen_f2, gen_two_spiral, load_iris, spiral_points
 from .errors import NoCoveragePresentError, ZeroVarianceError
 from .inference import defuzzify_many, infer_many, infer_many_fuzzy
 from .model import Model, Sample, train_full
 
 GENERATORS = {"f1": gen_f1, "f2": gen_f2, "circles": gen_circles}
 
-# Shipped iris defaults; the customary split is 100 train / 50 test.
-IRIS_INPUT_LEVELS = 64
-IRIS_OUTPUT_LEVELS = 3
-IRIS_RADII = StainRadii(12.0, 1.0)
+# Each suite's protocol, as config keys; explicit config keys still win.
+SUITE_DEFAULTS = {
+    "table1": {"input_levels": 128, "test_count": 1000, "repetitions": 10},
+    "spiral": {"points_per_class": 200, "input_levels": 128, "output_levels": 2,
+               "radius_in": 8.0, "radius_out": 1.0},
+    "circles": {"train_count": 300, "test_count": 1000, "input_levels": 256,
+                "output_levels": 32, "radius_in": 50.0, "radius_out": 16.0,
+                "repetitions": 20},
+    "iris": {"input_levels": 64, "output_levels": 3, "radius_in": 12.0,
+             "radius_out": 1.0, "repetitions": 100},
+}
+
+# Self-check bands, enforced by ``bench --check``: FVU (low, high) of the
+# 1000-sample table1 fits.
+TABLE1_BANDS = {
+    ("f2", 10.0): (None, 0.05),
+    ("f1", 10.0): (None, 0.15),
+    ("f2", 30.0): (0.05, 0.25),
+}
+# Classification bands apply to max-membership accuracy.  The circles floor
+# is the raw-input Euclidean 1-NN accuracy on the same protocol (93.96%)
+# less one point for 256-level quantization.
+SPIRAL_MIN = 99.0
+CIRCLES_MIN = 93.0
+IRIS_MIN = 93.0
 
 
 def fvu(predicted, actual) -> float:
@@ -69,19 +90,7 @@ class EvalReport:
             raise ValueError(f"fvu {self.fvu} negative")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "task": self.task,
-                "fvu": self.fvu,
-                "accuracy": self.accuracy,
-                "accuracy_wsf": self.accuracy_wsf,
-                "no_coverage_count": self.no_coverage_count,
-                "seeds": self.seeds,
-                "config": self.config,
-                "per_run": self.per_run,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def write_report_json(report: EvalReport, path) -> None:
@@ -284,10 +293,10 @@ def run_classification_experiment(
 
 
 def run_spiral_experiment(
-    points_per_class: int = 200,
-    radii: StainRadii = StainRadii(8.0, 1.0),
-    input_levels: int = 128,
-    output_levels: int = 2,
+    points_per_class: int,
+    radii: StainRadii,
+    input_levels: int,
+    output_levels: int,
     seed: int = 0,
     dense_per_class: int = 4000,
 ) -> EvalReport:
@@ -324,16 +333,14 @@ def run_spiral_experiment(
 
 
 def run_iris_experiment(
-    repetitions: int = 100,
-    seeds=0,
-    radii: StainRadii = IRIS_RADII,
-    input_levels: int = IRIS_INPUT_LEVELS,
-    output_levels: int = IRIS_OUTPUT_LEVELS,
+    repetitions: int,
+    seeds,
+    radii: StainRadii,
+    input_levels: int,
+    output_levels: int,
     path=None,
 ) -> EvalReport:
-    from .datasets import load_iris
-
-    dataset = load_iris(path)
+    """Iris accuracy on the customary split, 100 train and 50 test."""
     return run_classification_experiment(
-        dataset, (100, 50), radii, (input_levels, output_levels), repetitions, seeds
+        load_iris(path), (100, 50), radii, (input_levels, output_levels), repetitions, seeds
     )

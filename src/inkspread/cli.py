@@ -18,6 +18,11 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import (
+    CIRCLES_MIN,
+    IRIS_MIN,
+    SPIRAL_MIN,
+    SUITE_DEFAULTS,
+    TABLE1_BANDS,
     average_regression_runs,
     run_classification_experiment,
     run_iris_experiment,
@@ -28,10 +33,10 @@ from .benchmarks import (
 from .config import RunConfig, load_config
 from .core import QuantizationSpec, StainRadii
 from .crossbar import DeviceParams, ProgrammingParams, crossbar_infer, program_from_model
-from .datasets import gen_circles, gen_f1, gen_f2, gen_two_spiral, load_iris
-from .errors import MalformedCsvError, NoCoverageError
+from .datasets import Dataset, gen_circles, gen_f1, gen_f2, gen_two_spiral, load_csv, load_iris
+from .errors import NoCoverageError
 from .inference import infer, infer_trace
-from .model import Sample, train_error_gated, train_full, train_merged
+from .model import train_error_gated, train_full, train_merged
 from .modelio import load_model, plane_to_csv, save_model
 
 EXIT_OK = 0
@@ -40,58 +45,37 @@ EXIT_NO_COVERAGE = 3
 EXIT_BAND = 4
 
 
-def _load_training_samples(cfg: RunConfig) -> tuple[list[Sample], list[tuple[float, float]]]:
-    """Samples plus per-input ranges for the configured dataset."""
+def _load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset == "csv":
         if not cfg.dataset_path:
             raise ValueError("dataset=csv needs dataset_path")
-        rows = []
-        path = Path(cfg.dataset_path)
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise MalformedCsvError(f"{path}: row {lineno} is not numeric") from None
-        if not rows:
-            raise MalformedCsvError(f"{path}: no data rows")
-        width = len(rows[0])
-        if width < 2 or any(len(r) != width for r in rows):
-            raise MalformedCsvError(f"{path}: rows must share one width of >= 2 columns")
-        samples = [Sample(tuple(r[:-1]), r[-1]) for r in rows]
-        arr = np.array(rows)
-        ranges = [(float(arr[:, j].min()), float(arr[:, j].max())) for j in range(width - 1)]
-        return samples, ranges
+        return load_csv(cfg.dataset_path)
     if cfg.dataset == "iris":
-        ds = load_iris(cfg.dataset_path or None)
-    elif cfg.dataset == "spiral":
-        ds = gen_two_spiral(cfg.points_per_class, cfg.seed)
-    elif cfg.dataset == "circles":
-        ds = gen_circles(cfg.train_count, cfg.seed)
-    else:
-        gen = gen_f1 if cfg.dataset == "f1" else gen_f2
-        ds = gen(cfg.train_count, cfg.seed)
-    return ds.samples, ds.input_ranges
+        return load_iris(cfg.dataset_path or None)
+    if cfg.dataset == "spiral":
+        return gen_two_spiral(cfg.points_per_class, cfg.seed)
+    gen = {"circles": gen_circles, "f1": gen_f1, "f2": gen_f2}[cfg.dataset]
+    return gen(cfg.train_count, cfg.seed)
 
 
-def _build_specs(cfg: RunConfig, samples: list[Sample], ranges) -> tuple[list[QuantizationSpec], QuantizationSpec]:
+def _build_specs(cfg: RunConfig, ds: Dataset) -> tuple[list[QuantizationSpec], QuantizationSpec]:
+    ranges = ds.input_ranges
     if cfg.input_min is not None and cfg.input_max is not None:
-        ranges = [(cfg.input_min, cfg.input_max)] * len(samples[0].inputs)
+        ranges = [(cfg.input_min, cfg.input_max)] * len(ranges)
     input_specs = [QuantizationSpec(lo, hi, cfg.input_levels) for lo, hi in ranges]
     if cfg.output_min is not None and cfg.output_max is not None:
         lo, hi = cfg.output_min, cfg.output_max
     else:
-        outs = [s.output for s in samples]
+        outs = [s.output for s in ds.samples]
         lo, hi = min(outs), max(outs)
     return input_specs, QuantizationSpec(lo, hi, cfg.output_levels)
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
-    samples, ranges = _load_training_samples(cfg)
-    input_specs, output_spec = _build_specs(cfg, samples, ranges)
+    ds = _load_dataset(cfg)
+    samples = ds.samples
+    input_specs, output_spec = _build_specs(cfg, ds)
     radii = StainRadii(cfg.radius_in, cfg.radius_out)
     if cfg.policy == "full":
         model = train_full(samples, input_specs, output_spec, radii)
@@ -123,32 +107,6 @@ def cmd_infer(args) -> int:
         return EXIT_NO_COVERAGE
     print(f"{crisp:.4f}")
     return EXIT_OK
-
-
-# Benchmark self-check bands; the CLI enforces them only under --check.
-TABLE1_BANDS = {
-    ("f2", 10.0): (None, 0.05),
-    ("f1", 10.0): (None, 0.15),
-    ("f2", 30.0): (0.05, 0.25),
-}
-# Classification bands apply to max-membership accuracy.  The circles floor
-# is the raw-input Euclidean 1-NN accuracy on the same protocol (93.96%)
-# less one point for 256-level quantization.
-SPIRAL_MIN = 99.0
-CIRCLES_MIN = 93.0
-IRIS_MIN = 93.0
-
-# Each suite pins its own protocol; explicit config keys still win.
-SUITE_DEFAULTS = {
-    "table1": {"input_levels": 128, "test_count": 1000, "repetitions": 10},
-    "spiral": {"points_per_class": 200, "input_levels": 128, "output_levels": 2,
-               "radius_in": 8.0, "radius_out": 1.0},
-    "circles": {"train_count": 300, "test_count": 1000, "input_levels": 256,
-                "output_levels": 32, "radius_in": 50.0, "radius_out": 16.0,
-                "repetitions": 20},
-    "iris": {"input_levels": 64, "output_levels": 3, "radius_in": 12.0,
-             "radius_out": 1.0, "repetitions": 100},
-}
 
 
 def _bench_table1(cfg: RunConfig, out_dir: Path, check: bool) -> int:
@@ -337,7 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, MalformedCsvError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,4 @@
-"""Level quantization and the pyramid stain membership function.
+"""Level quantization, and the radii of the pyramid stains.
 
 Every variable is mapped onto a uniform grid of ``levels`` discrete values
 between ``min`` and ``max``.  Stains diffused onto a plane are pyramid-shaped
@@ -71,15 +71,18 @@ def quantize_many(spec: QuantizationSpec, xs: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(t), 0, spec.levels - 1).astype(np.int64) + 1
 
 
-def dequantize(spec: QuantizationSpec, k: float) -> float:
-    """Raw value of level ``k``.
+def dequantize(spec: QuantizationSpec, k):
+    """Raw value of level ``k``, or of each level in an array ``k``.
 
     ``k`` is normally an integer in 1..n; fractional indices are accepted
-    because defuzzification produces a continuous level coordinate.
+    because defuzzification produces a continuous level coordinate.  In an
+    array, a NaN level gives NaN.
     """
-    if not 1 <= k <= spec.levels:
+    ks = np.asarray(k, dtype=float)
+    if ((ks < 1) | (ks > spec.levels)).any() or (ks.ndim == 0 and ks != ks):
         raise ValueError(f"level {k} outside 1..{spec.levels}")
-    return spec.min + (k - 1) * (spec.max - spec.min) / (spec.levels - 1)
+    values = spec.min + (ks - 1) * (spec.max - spec.min) / (spec.levels - 1)
+    return float(values) if ks.ndim == 0 else values
 
 
 def level_values(spec: QuantizationSpec) -> np.ndarray:
@@ -90,12 +93,3 @@ def level_values(spec: QuantizationSpec) -> np.ndarray:
     """
     return spec.min + np.arange(spec.levels, dtype=float) * (spec.max - spec.min) / (spec.levels - 1)
 
-
-def pyramid_membership(dx: float, dy: float, radii: StainRadii) -> float:
-    """Confidence of a pyramid stain at offset (dx, dy) from its apex.
-
-    Offsets are in level units.  The tent is the minimum of two 1-D ramps,
-    clipped at zero, so the support is the open rectangle
-    |dx| < radius_in, |dy| < radius_out and the apex value is exactly 1.
-    """
-    return max(0.0, min(1.0 - abs(dx) / radii.radius_in, 1.0 - abs(dy) / radii.radius_out))

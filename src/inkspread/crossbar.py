@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QuantizationSpec, quantize_many
+from .core import QuantizationSpec, dequantize, quantize_many
 from .errors import DividerUnderflowError, ModeViolationError
 from .model import IdsPlane, Model
 
@@ -71,25 +71,8 @@ class DeviceParams:
         return 2.0 * self.mu_v * self.R_on * (self.R_off - self.R_on) / self.D**2
 
 
-@dataclass
-class MemristorState:
-    """Doped-region length w of one device; w = D means R_on, w = 0 means R_off."""
-
-    w: float
-    params: DeviceParams
-
-    def __post_init__(self):
-        if not 0 <= self.w <= self.params.D:
-            raise ValueError(f"w = {self.w} outside [0, {self.params.D}]")
-
-
-def memristance(state: MemristorState) -> float:
-    """R_on*(w/D) + R_off*(1 - w/D); monotone decreasing in w."""
-    frac = state.w / state.params.D
-    return state.params.R_on * frac + state.params.R_off * (1.0 - frac)
-
-
 def _memristance_of_w(w: np.ndarray, params: DeviceParams) -> np.ndarray:
+    """R_on*(w/D) + R_off*(1 - w/D); monotone decreasing in w."""
     frac = w / params.D
     return params.R_on * frac + params.R_off * (1.0 - frac)
 
@@ -115,38 +98,14 @@ def _pulse_r_squared(r2, v, dt, substeps: int, params: DeviceParams):
     return r2
 
 
-def apply_pulse(state: MemristorState, v: float, dt: float, substeps: int = 10) -> MemristorState:
-    """One programming pulse on a single device; sub-threshold pulses are inert.
-
-    The state is untouched (bit-identical) when |v| <= V_th.  Otherwise w
-    moves per the linear-drift law, clamped to [0, D], and the same state
-    object is returned updated.
-    """
-    if dt <= 0:
-        raise ValueError(f"pulse duration must be positive, got {dt}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
-    p = state.params
-    if abs(v) <= p.V_th:
-        return state
-    r2 = _pulse_r_squared(memristance(state) ** 2, v, dt, substeps, p)
-    state.w = float(np.clip(_w_of_memristance(math.sqrt(r2), p), 0.0, p.D))
-    return state
-
-
 def attenuation(params: DeviceParams) -> float:
-    """Uniform confidence attenuation 1 - R_on/R_off of the readout encoding."""
-    return 1.0 - params.R_on / params.R_off
+    """Uniform confidence attenuation 1 - R_on/R_off of the readout encoding.
 
-
-def degree_to_memristance(params: DeviceParams, s: float) -> float:
-    """Memristance encoding software degree s: R_on/(1 - s*(1 - R_on/R_off)).
-
-    s = 0 maps to R_on (reads exactly zero), s = 1 maps to R_off, and the
-    readout returns s times the attenuation factor, which cancels through
-    min, max, and the divider ratio.
+    Degree s is stored as R_on/(1 - s*attenuation): s = 0 is R_on, which
+    reads exactly zero, and the read returns s*attenuation, a factor that
+    cancels through min, max and the divider ratio.
     """
-    return params.R_on / (1.0 - s * attenuation(params))
+    return 1.0 - params.R_on / params.R_off
 
 
 # substeps of one pulse, each a pass over the pulsed cells; the closed form
@@ -253,30 +212,15 @@ class CrossbarArray:
         if self._mode != "read":
             raise ModeViolationError("array is being programmed; reads are isolated")
 
-    def memristance_grid(self) -> np.ndarray:
-        return _memristance_of_w(self.w, self.params)
-
-    def cell(self, row: int, col: int) -> MemristorState:
-        """Snapshot of one device's state (1-based row/col)."""
-        return MemristorState(float(self.w[row - 1, col - 1]), self.params)
-
-
-def read_confidence(array: CrossbarArray, col: int, row: int) -> float:
-    """Op-amp readout of one cell, normalized by v_read.
-
-    v_out = -v_ref + v_read*(-R_f/R_m) with v_ref = -v_read and R_f = R_on,
-    so the returned degree is 1 - R_on/R_m: exactly 0 at R_on, approaching
-    1 - R_on/R_off at R_off.
-    """
-    array._require_read()
-    r_m = float(_memristance_of_w(array.w[row - 1, col - 1], array.params))
-    v_out = -array.v_ref + array.v_read * (-(array.R_f / r_m))
-    return v_out / array.v_read
-
 
 def _read_voltages(array: CrossbarArray, w: np.ndarray) -> np.ndarray:
     """Op-amp output voltages of cells with doped lengths ``w``, read through
-    ``array``'s device and bias constants."""
+    ``array``'s device and bias constants.
+
+    v_out = -v_ref + v_read*(-R_f/R_m) with v_ref = -v_read and R_f = R_on,
+    so v_out/v_read is the degree 1 - R_on/R_m: exactly 0 at R_on,
+    approaching 1 - R_on/R_off at R_off.
+    """
     r = _memristance_of_w(w, array.params)
     return -array.v_ref + array.v_read * (-(array.R_f / r))
 
@@ -493,10 +437,6 @@ class HardwareModel:
     reports: list[list[ProgrammingReport]] = field(default_factory=list)
 
     @property
-    def n_groups(self) -> int:
-        return len(self.group_arrays)
-
-    @property
     def worst_residual(self) -> float:
         return max(
             (r.max_abs_residual for row in self.reports for r in row),
@@ -594,7 +534,7 @@ def crossbar_infer(hw: HardwareModel, x):
             w = np.array([arrays[j].w.take(cols, axis=1) for arrays in groups[g0:g0 + slab]])
             block[:, g0:g0 + slab] = _read_voltages(groups[0][0], w).transpose(2, 0, 1)
         reads.append((block, inverse))
-    values = np.empty(len(X))
+    levels = np.empty(len(X))
     step = max(1, _READ_ELEMENTS // (n_in * max(1, len(groups)) * n_y))
     for b0 in range(0, len(X), step):
         rows = slice(b0, b0 + step)
@@ -604,9 +544,8 @@ def crossbar_infer(hw: HardwareModel, x):
             level_mu = diode_max(diode_min(plane_vs, hw.diode_drop, axis=0), hw.diode_drop, axis=1)
         else:
             level_mu = np.zeros((len(X[rows]), n_y))
-        level = np.clip(defuzz_circuit(level_mu, n_y, floor=hw.divider_floor), 1.0, n_y)
-        # the arithmetic of core.dequantize, row by row
-        values[rows] = out.min + (level - 1) * (out.max - out.min) / (out.levels - 1)
+        levels[rows] = np.clip(defuzz_circuit(level_mu, n_y, floor=hw.divider_floor), 1.0, n_y)
+    values = dequantize(out, levels)
     values[nan] = np.nan
     if not single:
         return values
@@ -614,25 +553,3 @@ def crossbar_infer(hw: HardwareModel, x):
         raise DividerUnderflowError(f"divider denominator at or below floor {hw.divider_floor:.3e}")
     return float(values[0])
 
-
-def array_state_to_csv(array: CrossbarArray, path) -> None:
-    """Dump per-cell state: row, col (1-based), w/D, memristance."""
-    grid = array.memristance_grid()
-    with open(path, "w") as fh:
-        fh.write("row,col,w_over_D,memristance_ohm\n")
-        for r in range(array.rows):
-            for c in range(array.cols):
-                fh.write(f"{r + 1},{c + 1},{array.w[r, c] / array.params.D:.9g},{grid[r, c]:.9g}\n")
-
-
-def report_to_csv(report: ProgrammingReport, path) -> None:
-    """Dump per-cell programming outcome: pulses, residual, budget flag."""
-    rows, cols = report.pulse_counts.shape
-    with open(path, "w") as fh:
-        fh.write("row,col,pulses,residual,budget_exhausted\n")
-        for r in range(rows):
-            for c in range(cols):
-                fh.write(
-                    f"{r + 1},{c + 1},{report.pulse_counts[r, c]},"
-                    f"{report.residuals[r, c]:.9g},{int(report.budget_exhausted[r, c])}\n"
-                )

@@ -1,4 +1,4 @@
-"""Benchmark dataset generators and the iris loader.
+"""Benchmark dataset generators and the one reader of CSV data files.
 
 Regression targets are the two analytic surfaces
 
@@ -140,55 +140,68 @@ def bundled_iris_path() -> Path:
     return Path(importlib.resources.files("inkspread") / "data" / "iris.csv")
 
 
-def load_iris(path: str | Path | None = None) -> Dataset:
-    """Parse a 4-feature CSV with a trailing class column; labels become 1..3.
+def _number(path, row: int, col: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise MalformedCsvError(f"{path}: row {row} column {col}: {text!r} is not numeric") from None
 
-    String labels are mapped in sorted order; numeric labels are used as
-    given.  Malformed rows raise with the offending row and column.
+
+def _read_csv(path: Path, width: int | None = None, label: bool = False) -> tuple[np.ndarray, list[str]]:
+    """The one reader of comma-separated data files.
+
+    Returns the numeric columns, shaped (rows, columns), and with ``label``
+    the last column as text, apart from the numbers.  Blank lines and ``#``
+    comments are skipped.  Every row needs ``width`` columns, by default the
+    first row's and at least two.  A row of another width, or a field that
+    is not a number where one is due, raises MalformedCsvError naming its
+    row and column.
+    """
+    numbers, labels = [], []
+    with open(path) as fh:
+        for row, line in enumerate(fh, start=1):
+            fields = [v.strip() for v in line.split("#", 1)[0].split(",")]
+            if fields == [""]:
+                continue
+            width = width or max(2, len(fields))
+            if len(fields) != width:
+                raise MalformedCsvError(f"{path}: row {row} has {len(fields)} columns, expected {width}")
+            if label:
+                labels.append(fields.pop())
+            numbers.append([_number(path, row, col, v) for col, v in enumerate(fields, start=1)])
+    if not numbers:
+        raise MalformedCsvError(f"{path}: no data rows")
+    return np.array(numbers), labels
+
+
+def _ranges(columns: np.ndarray) -> list[tuple[float, float]]:
+    return [(float(c.min()), float(c.max())) for c in columns.T]
+
+
+def load_csv(path: str | Path) -> Dataset:
+    """Numeric rows, the inputs first and the output last, as samples."""
+    table, _ = _read_csv(Path(path))
+    samples = [Sample(tuple(r[:-1]), r[-1]) for r in table.tolist()]
+    return Dataset(samples, _ranges(table[:, :-1]), "regression")
+
+
+def load_iris(path: str | Path | None = None) -> Dataset:
+    """150 rows of 4 features and a trailing class label.
+
+    Numeric labels are used by value and must be integers >= 1, with
+    ``class_count`` the largest; text labels become 1, 2, ... in sorted
+    order.
     """
     path = bundled_iris_path() if path is None else Path(path)
-    rows: list[tuple[float, ...]] = []
-    raw_labels: list[str] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise MalformedCsvError(f"{path}: row {lineno} has {len(fields)} columns, expected 5")
-            try:
-                rows.append(tuple(float(v) for v in fields[:4]))
-            except ValueError:
-                bad = next(i for i, v in enumerate(fields[:4]) if not _is_float(v))
-                raise MalformedCsvError(
-                    f"{path}: row {lineno} column {bad + 1}: {fields[bad]!r} is not numeric"
-                ) from None
-            raw_labels.append(fields[4])
-    if not rows:
-        raise MalformedCsvError(f"{path}: no data rows")
-    if len(rows) != 150:
-        raise MalformedCsvError(f"{path}: expected 150 rows, found {len(rows)}")
-    label_map = _label_mapping(raw_labels, path)
-    features = np.array(rows)
-    samples = [Sample(f, label_map[lab]) for f, lab in zip(rows, raw_labels)]
-    ranges = [(float(features[:, j].min()), float(features[:, j].max())) for j in range(4)]
-    return Dataset(samples, ranges, "classification", class_count=len(label_map))
-
-
-def _is_float(v: str) -> bool:
+    features, names = _read_csv(path, width=5, label=True)
+    if len(features) != 150:
+        raise MalformedCsvError(f"{path}: expected 150 rows, found {len(features)}")
     try:
-        float(v)
-        return True
+        labels = [float(v) for v in names]
     except ValueError:
-        return False
-
-
-def _label_mapping(raw_labels: list[str], path) -> dict[str, float]:
-    distinct = sorted(set(raw_labels))
-    if all(_is_float(v) for v in distinct):
-        mapping = {v: float(v) for v in distinct}
-        if any(m != int(m) or m < 1 for m in mapping.values()):
-            raise MalformedCsvError(f"{path}: numeric class labels must be integers >= 1")
-        return mapping
-    return {name: float(i) for i, name in enumerate(distinct, start=1)}
+        order = {name: float(k) for k, name in enumerate(sorted(set(names)), start=1)}
+        labels = [order[v] for v in names]
+    if not all(v.is_integer() and v >= 1 for v in labels):
+        raise MalformedCsvError(f"{path}: numeric class labels must be integers >= 1")
+    samples = [Sample(tuple(f), y) for f, y in zip(features.tolist(), labels)]
+    return Dataset(samples, _ranges(features), "classification", class_count=int(max(labels)))

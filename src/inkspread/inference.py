@@ -356,7 +356,8 @@ def infer_many(model: "Model", X: np.ndarray, chunk: int = 64) -> tuple[np.ndarr
 def infer_trace(model: "Model", x) -> dict:
     """Every intermediate of one inference, as plain JSON-friendly types.
 
-    Keys: inputs, input_levels, plane_confidences[group][level][plane],
+    Keys: inputs (an infinite one as the string "inf" or "-inf"),
+    input_levels, plane_confidences[group][level][plane],
     group_confidences[group][level], level_values, confidences, crisp,
     no_coverage.  The tables are read off each group's stains the way
     ``diffuse`` writes a plane; the confidences, which equal the max over
@@ -375,7 +376,8 @@ def infer_trace(model: "Model", x) -> dict:
     except NoCoverageError:
         crisp = None
     return {
-        "inputs": [float(v) for v in x],
+        # JSON has no infinity; input_levels shows where such an input clamped
+        "inputs": [v if math.isfinite(v) else str(v) for v in map(float, x)],
         "input_levels": levels,
         "plane_confidences": planes.tolist(),
         "group_confidences": planes.min(axis=2).tolist(),

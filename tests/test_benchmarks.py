@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
+from inkspread import cli
 from inkspread.benchmarks import (
+    CIRCLES_MIN,
+    IRIS_MIN,
+    SPIRAL_MIN,
+    SUITE_DEFAULTS,
+    TABLE1_BANDS,
     EvalReport,
     _resolve_seeds,
     average_regression_runs,
@@ -199,23 +205,35 @@ class TestClassificationExperiment:
 
 class TestSpiralExperiment:
     def test_reports_train_and_dense_accuracy(self):
-        rep = run_spiral_experiment(points_per_class=60, input_levels=64,
-                                    dense_per_class=500)
+        rep = run_spiral_experiment(60, StainRadii(8.0, 1.0), 64, 2, dense_per_class=500)
         assert 0.0 <= rep.accuracy <= 100.0
         assert "train_accuracy" in rep.config
 
     def test_fully_deterministic(self):
-        a = run_spiral_experiment(points_per_class=40, input_levels=64,
-                                  dense_per_class=300)
-        b = run_spiral_experiment(points_per_class=40, input_levels=64,
-                                  dense_per_class=300)
+        a = run_spiral_experiment(40, StainRadii(8.0, 1.0), 64, 2, dense_per_class=300)
+        b = run_spiral_experiment(40, StainRadii(8.0, 1.0), 64, 2, dense_per_class=300)
         assert a.accuracy == b.accuracy
         assert a.config == b.config
 
 
+class TestBands:
+    def test_the_cli_reads_the_one_copy(self):
+        for name, value in [("TABLE1_BANDS", TABLE1_BANDS), ("SPIRAL_MIN", SPIRAL_MIN),
+                            ("CIRCLES_MIN", CIRCLES_MIN), ("IRIS_MIN", IRIS_MIN),
+                            ("SUITE_DEFAULTS", SUITE_DEFAULTS)]:
+            assert getattr(cli, name) is value, name
+
+    def test_thresholds(self):
+        assert TABLE1_BANDS == {("f2", 10.0): (None, 0.05), ("f1", 10.0): (None, 0.15),
+                                ("f2", 30.0): (0.05, 0.25)}
+        assert (SPIRAL_MIN, CIRCLES_MIN, IRIS_MIN) == (99.0, 93.0, 93.0)
+
+
 class TestIrisExperiment:
     def test_shipped_defaults_on_few_repetitions(self):
-        rep = run_iris_experiment(repetitions=3, seeds=0)
+        p = SUITE_DEFAULTS["iris"]
+        rep = run_iris_experiment(3, 0, StainRadii(p["radius_in"], p["radius_out"]),
+                                  p["input_levels"], p["output_levels"])
         assert rep.accuracy > 80.0
         assert len(rep.per_run) == 3
         assert rep.config["split"] == [100, 50]

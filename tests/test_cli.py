@@ -166,6 +166,19 @@ class TestInfer:
         assert rc == EXIT_NO_COVERAGE
         assert json.loads(trace_path.read_text())["no_coverage"] is True
 
+    @pytest.mark.parametrize("query, inputs, levels", [(["-inf", "5"], ["-inf", 5.0], [1, 9]),
+                                                       (["inf", "1e400"], ["inf", "inf"], [19, 19])])
+    def test_trace_of_an_infinite_input_is_strict_json(self, model_path, tmp_path, capsys,
+                                                       query, inputs, levels):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        trace_path = tmp_path / "trace.json"
+        cli.main(["infer", "--model", str(model_path), "--trace", str(trace_path), "--", *query])
+        capsys.readouterr()
+        trace = json.loads(trace_path.read_text(), parse_constant=refuse)
+        assert (trace["inputs"], trace["input_levels"]) == (inputs, levels)
+
     def test_missing_model_file(self, tmp_path, capsys):
         rc = cli.main(["infer", "--model", str(tmp_path / "absent.ids"), "1", "1"])
         assert rc == EXIT_INPUT
@@ -240,6 +253,15 @@ class TestDumpPlane:
         rc = cli.main(["dump-plane", "--model", str(model_path),
                        "--group", "1", "--plane", "9", "--out", "x.csv"])
         assert rc == EXIT_INPUT
+
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(*[st.one_of(st.integers(-2, 4).map(str), st.text(st.characters(exclude_categories=("Cs",)), max_size=8))
+             for _ in range(2)])
+    def test_index_arguments_end_cleanly(self, model_path, workdir, capsys, group, plane):
+        rc = exit_code(["dump-plane", "--model", str(model_path), "--group", group,
+                        "--plane", plane, "--out", str(workdir / "fuzz-plane.csv")])
+        ends_cleanly(rc, capsys)
 
 
 class TestBench:

@@ -10,10 +10,10 @@ from inkspread.core import (
     StainRadii,
     dequantize,
     level_values,
-    pyramid_membership,
     quantize,
     quantize_many,
 )
+from inkspread.model import diffuse, empty_plane
 
 
 def spec_strategy():
@@ -104,6 +104,17 @@ class TestDequantize:
         for k in range(1, spec.levels + 1):
             assert quantize(spec, dequantize(spec, k)) == k
 
+    @given(spec_strategy(), st.lists(st.floats(1.0, 4096.0), max_size=20))
+    def test_an_array_of_levels_is_each_level_bitwise(self, spec, ks):
+        ks = [min(k, spec.levels) for k in ks]
+        values = dequantize(spec, np.array(ks + [np.nan]))
+        assert [float(v) for v in values[:-1]] == [dequantize(spec, k) for k in ks]
+        assert np.isnan(values[-1])
+        with pytest.raises(ValueError):
+            dequantize(spec, float("nan"))
+        with pytest.raises(ValueError):
+            dequantize(spec, np.array([1.0, spec.levels + 1.0]))
+
     @given(spec_strategy())
     def test_level_values_agree_bitwise_with_dequantize(self, spec):
         vals = level_values(spec)
@@ -139,47 +150,44 @@ class TestSpecValidation:
 
 
 class TestPyramid:
-    R = StainRadii(1.5, 1.5)
+    """The tent ``diffuse`` writes: offsets are whole levels from the apex."""
+
+    R = StainRadii(3, 3)
+    AXIS = QuantizationSpec(0.0, 12.0, 13)
+    OFFSETS = np.arange(-6, 7)
+
+    def tent(self, radii):
+        """One stain's confidences at offsets -6..6 from its apex: tent[6 + dx, 6 + dy]."""
+        return diffuse(empty_plane(self.AXIS, self.AXIS), 7, 7, radii).grid
 
     def test_apex_is_one(self):
-        assert pyramid_membership(0, 0, StainRadii(0.3, 9)) == 1.0
+        assert self.tent(StainRadii(0.3, 9))[6, 6] == 1.0
 
     def test_half_step_on_input_axis(self):
-        assert pyramid_membership(0.5, 0, self.R) == pytest.approx(2 / 3)
+        assert self.tent(self.R)[7, 6] == pytest.approx(2 / 3)
 
     def test_half_step_and_full_step(self):
-        assert pyramid_membership(0.5, 1, self.R) == pytest.approx(1 / 3)
+        assert self.tent(self.R)[7, 8] == pytest.approx(1 / 3)
 
     def test_diagonal_full_step(self):
-        assert pyramid_membership(1, 1, self.R) == pytest.approx(1 / 3)
+        assert self.tent(self.R)[8, 8] == pytest.approx(1 / 3)
 
     def test_zero_at_support_edge(self):
-        assert pyramid_membership(1.5, 0, self.R) == 0.0
-        assert pyramid_membership(0, 1.5, self.R) == 0.0
+        assert self.tent(self.R)[9, 6] == 0.0
+        assert self.tent(self.R)[6, 9] == 0.0
 
-    @given(
-        st.floats(-5, 5), st.floats(-5, 5),
-        st.floats(0.1, 4), st.floats(0.1, 4),
-    )
-    def test_sign_symmetry_and_range(self, dx, dy, rin, rout):
-        radii = StainRadii(rin, rout)
-        v = pyramid_membership(dx, dy, radii)
-        assert 0.0 <= v <= 1.0
-        assert v == pyramid_membership(-dx, dy, radii)
-        assert v == pyramid_membership(dx, -dy, radii)
+    @given(st.floats(0.1, 4), st.floats(0.1, 4))
+    def test_sign_symmetry_and_range(self, rin, rout):
+        g = self.tent(StainRadii(rin, rout))
+        assert ((0.0 <= g) & (g <= 1.0)).all()
+        assert (g == g[::-1]).all() and (g == g[:, ::-1]).all()
 
-    @given(
-        st.floats(0, 5), st.floats(0, 5), st.floats(0, 3),
-        st.floats(0.1, 4), st.floats(0.1, 4),
-    )
-    def test_monotone_in_each_offset(self, dx, dy, bump, rin, rout):
-        radii = StainRadii(rin, rout)
-        base = pyramid_membership(dx, dy, radii)
-        assert pyramid_membership(dx + bump, dy, radii) <= base
-        assert pyramid_membership(dx, dy + bump, radii) <= base
+    @given(st.floats(0.1, 4), st.floats(0.1, 4))
+    def test_monotone_in_each_offset(self, rin, rout):
+        g = self.tent(StainRadii(rin, rout))[6:, 6:]
+        assert (np.diff(g, axis=0) <= 0).all() and (np.diff(g, axis=1) <= 0).all()
 
-    @given(st.floats(-6, 6), st.floats(-6, 6), st.floats(0.1, 4), st.floats(0.1, 4))
-    def test_support_is_open_rectangle(self, dx, dy, rin, rout):
-        v = pyramid_membership(dx, dy, StainRadii(rin, rout))
-        inside = abs(dx) < rin and abs(dy) < rout
-        assert (v > 0) == inside
+    @given(st.floats(0.1, 4), st.floats(0.1, 4))
+    def test_support_is_open_rectangle(self, rin, rout):
+        inside = (np.abs(self.OFFSETS)[:, None] < rin) & (np.abs(self.OFFSETS)[None, :] < rout)
+        assert ((self.tent(StainRadii(rin, rout)) > 0) == inside).all()

@@ -16,22 +16,20 @@ from inkspread.crossbar import (
     MAX_SUBSTEPS,
     CrossbarArray,
     DeviceParams,
-    MemristorState,
     ProgrammingParams,
+    _memristance_of_w,
     _program_arrays,
     _pulse_r_squared,
-    apply_pulse,
+    _w_of_memristance,
     attenuation,
     crossbar_infer,
     defuzz_circuit,
-    degree_to_memristance,
     diode_max,
     diode_min,
-    memristance,
     program_from_model,
     program_plane,
     program_plane_exact,
-    read_confidence,
+    read_column_voltages,
 )
 from inkspread.inference import infer
 from inkspread.model import IdsPlane, Model, Sample, diffuse, empty_plane, train_full, train_merged
@@ -41,20 +39,31 @@ from reference import crossbar_infer_reference, program_from_model_reference, pr
 P = DeviceParams()
 
 
+def pulse(w, v, dt, substeps=10):
+    """Doped lengths ``w`` after one pulse, by the drift law the write
+    controller applies: w to R_M^2, the pulse, and back, clamped to [0, D]."""
+    r2 = _pulse_r_squared(_memristance_of_w(np.asarray(w, dtype=float), P) ** 2, v, dt, substeps, P)
+    return np.clip(_w_of_memristance(np.sqrt(r2), P), 0.0, P.D)
+
+
+def degrees(array, col):
+    """The degrees one column of ``array`` reads, v_out / v_read."""
+    return read_column_voltages(array, col) / array.v_read
+
+
 class TestDeviceModel:
     def test_fully_doped_is_minimum_resistance(self):
-        assert memristance(MemristorState(P.D, P)) == P.R_on
+        assert _memristance_of_w(np.array(P.D), P) == P.R_on
 
     def test_undoped_is_maximum_resistance(self):
-        assert memristance(MemristorState(0.0, P)) == P.R_off
+        assert _memristance_of_w(np.array(0.0), P) == P.R_off
 
     def test_half_doped(self):
-        assert memristance(MemristorState(P.D / 2, P)) == pytest.approx(5050.0)
+        assert _memristance_of_w(np.array(P.D / 2), P) == pytest.approx(5050.0)
 
     def test_monotone_decreasing_in_w(self):
-        ws = np.linspace(0, P.D, 50)
-        rs = [memristance(MemristorState(float(w), P)) for w in ws]
-        assert all(a > b for a, b in zip(rs, rs[1:]))
+        rs = _memristance_of_w(np.linspace(0, P.D, 50), P)
+        assert (np.diff(rs) < 0).all()
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -101,79 +110,88 @@ class TestDeviceModel:
 
 
 class TestApplyPulse:
+    """One programming pulse, as the write controller applies it."""
+
     def test_sub_threshold_is_bit_identical(self):
-        state = MemristorState(0.37 * P.D, P)
-        w0 = state.w
-        for v in (0.0, 0.5, -0.99, 1.0, -1.0):
-            state = apply_pulse(state, v, 1e-5)
-            assert state.w == w0
+        # the only sub-threshold drive a cell sees outside a write is the
+        # read voltage, |v_read| < V_th, and no read moves any cell
+        rng = np.random.default_rng(4)
+        for v_read in (0.5, -0.99, 0.999, 1e-3):
+            array = CrossbarArray(3, 5, P, v_read=v_read)
+            array.w = rng.uniform(0.0, P.D, size=(3, 5))
+            before = array.w.copy()
+            for col in range(1, 6):
+                read_column_voltages(array, col)
+            assert array.w.tobytes() == before.tobytes()
 
     def test_positive_pulse_lowers_memristance(self):
-        state = MemristorState(0.5 * P.D, P)
-        before = memristance(state)
-        apply_pulse(state, 1.5, 1e-6)
-        assert memristance(state) < before
+        w = 0.5 * P.D
+        assert _memristance_of_w(pulse(w, 1.5, 1e-6), P) < _memristance_of_w(np.array(w), P)
 
     def test_negative_pulse_raises_memristance(self):
-        state = MemristorState(0.5 * P.D, P)
-        before = memristance(state)
-        apply_pulse(state, -1.5, 1e-6)
-        assert memristance(state) > before
+        w = 0.5 * P.D
+        assert _memristance_of_w(pulse(w, -1.5, 1e-6), P) > _memristance_of_w(np.array(w), P)
 
     def test_opposite_pulses_return_to_start(self):
-        state = MemristorState(0.4 * P.D, P)
-        w0 = state.w
-        apply_pulse(state, 1.5, 2e-6, substeps=100)
-        assert state.w != w0 and 0.0 < state.w < P.D
-        apply_pulse(state, -1.5, 2e-6, substeps=100)
-        assert abs(state.w - w0) <= 1e-9 * P.D
+        w0 = 0.4 * P.D
+        w = pulse(w0, 1.5, 2e-6, substeps=100)
+        assert w != w0 and 0.0 < w < P.D
+        assert abs(pulse(w, -1.5, 2e-6, substeps=100) - w0) <= 1e-9 * P.D
 
     def test_longer_pulse_moves_strictly_more(self):
-        short = apply_pulse(MemristorState(0.5 * P.D, P), 1.5, 1e-6)
-        long = apply_pulse(MemristorState(0.5 * P.D, P), 1.5, 3e-6)
-        assert long.w > short.w
+        assert pulse(0.5 * P.D, 1.5, 3e-6) > pulse(0.5 * P.D, 1.5, 1e-6)
 
     def test_state_clamped_at_rails(self):
         # kappa*v ~ 3e8 ohm^2/s, so ~0.35 s of drive sweeps the full range
-        state = MemristorState(0.9 * P.D, P)
+        w = np.array(0.9 * P.D)
         for _ in range(80):
-            apply_pulse(state, 1.5, 5e-3)
-        assert state.w == P.D
-        assert memristance(state) == P.R_on
+            w = pulse(w, 1.5, 5e-3)
+        assert w == P.D
+        assert _memristance_of_w(w, P) == P.R_on
         for _ in range(80):
-            apply_pulse(state, -1.5, 5e-3)
-        assert state.w == 0.0
-        assert memristance(state) == P.R_off
+            w = pulse(w, -1.5, 5e-3)
+        assert w == 0.0
+        assert _memristance_of_w(w, P) == P.R_off
 
 
 class TestEncodingAndReadout:
+    UNIT = QuantizationSpec(0.0, 1.0, 2)
+
+    def exact(self, *degree_pairs):
+        """A 2x2 array programmed exactly to a plane of the given degrees."""
+        plane = IdsPlane(self.UNIT, self.UNIT, np.array(degree_pairs, dtype=float))
+        array = CrossbarArray(2, 2)
+        program_plane_exact(array, plane)
+        return array
+
     def test_attenuation_at_defaults(self):
         assert attenuation(P) == pytest.approx(0.99)
 
     def test_degree_encoding_endpoints(self):
-        assert degree_to_memristance(P, 0.0) == P.R_on
-        assert degree_to_memristance(P, 1.0) == pytest.approx(P.R_off)
+        r = _memristance_of_w(self.exact((0.0, 1.0), (1.0, 0.0)).w, P)
+        assert r[0, 0] == r[1, 1] == P.R_on
+        assert r[0, 1] == pytest.approx(P.R_off) and r[1, 0] == pytest.approx(P.R_off)
 
     def test_fresh_cell_reads_exactly_zero(self):
         array = CrossbarArray(4, 4)
-        assert read_confidence(array, 2, 3) == 0.0
+        assert degrees(array, 2)[2] == 0.0
+        assert (read_column_voltages(array, 3) == 0.0).all()
 
     def test_read_at_r_off(self):
         array = CrossbarArray(1, 1)
         array.w[0, 0] = 0.0
-        assert read_confidence(array, 1, 1) == pytest.approx(0.99)
+        assert degrees(array, 1)[0] == pytest.approx(0.99)
 
     def test_read_at_twice_r_on(self):
         array = CrossbarArray(1, 1)
         array.w[0, 0] = (P.R_off - 2 * P.R_on) / (P.R_off - P.R_on) * P.D
-        assert read_confidence(array, 1, 1) == pytest.approx(0.5)
+        assert degrees(array, 1)[0] == pytest.approx(0.5)
 
     def test_encode_then_read_recovers_attenuated_degree(self):
-        array = CrossbarArray(1, 1)
         for s in (0.1, 0.5, 0.93):
-            r = degree_to_memristance(P, s)
-            array.w[0, 0] = (P.R_off - r) / (P.R_off - P.R_on) * P.D
-            assert read_confidence(array, 1, 1) == pytest.approx(s * attenuation(P))
+            array = self.exact((s, 0.0), (0.0, s))
+            assert degrees(array, 1)[0] == pytest.approx(s * attenuation(P))
+            assert degrees(array, 2)[1] == pytest.approx(s * attenuation(P))
 
     def test_read_voltage_must_stay_below_threshold(self):
         with pytest.raises(ValueError):
@@ -183,7 +201,18 @@ class TestEncodingAndReadout:
         array = CrossbarArray(2, 2)
         array.set_mode("program")
         with pytest.raises(ModeViolationError):
-            read_confidence(array, 1, 1)
+            read_column_voltages(array, 1)
+
+    def test_reads_leave_every_array_bitwise_unchanged(self, worked_model):
+        hw = program_from_model(worked_model, epsilon=0.01)
+        arrays = [arr for row in hw.group_arrays for arr in row]
+        before = [arr.w.copy() for arr in arrays]
+        rng = np.random.default_rng(0)
+        queries = np.column_stack([rng.uniform(s.min, s.max, 300) for s in worked_model.input_specs])
+        crossbar_infer(hw, queries)
+        crossbar_infer(hw, queries[:1])
+        assert all(arr.w.tobytes() == w.tobytes() for arr, w in zip(arrays, before))
+        assert (read_column_voltages(CrossbarArray(3, 2), 2) == 0.0).all()
 
 
 IN8 = QuantizationSpec(0, 7, 8)
@@ -258,9 +287,7 @@ class TestProgramPlane:
         program_plane_exact(array, plane)
         att = attenuation(P)
         for col in range(1, IN8.levels + 1):
-            for row in range(1, OUT6.levels + 1):
-                want = plane.grid[col - 1, row - 1] * att
-                assert read_confidence(array, col, row) == pytest.approx(want, abs=1e-12)
+            assert degrees(array, col) == pytest.approx(plane.grid[col - 1] * att, abs=1e-12)
 
 
 class TestDiodeStages:
@@ -480,28 +507,6 @@ class TestBatchBoundary:
     def test_non_finite_diode_drop_rejected(self, worked_model, drop):
         with pytest.raises(ValueError):
             program_from_model(worked_model, epsilon=0.01, diode_drop=drop)
-
-
-class TestStateDumps:
-    def test_array_state_csv(self, tmp_path, worked_model):
-        hw = program_from_model(worked_model, epsilon=0.01)
-        path = tmp_path / "state.csv"
-        from inkspread.crossbar import array_state_to_csv
-
-        array_state_to_csv(hw.group_arrays[0][0], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,w_over_D,memristance_ohm"
-        assert len(lines) == 1 + 2 * 19
-
-    def test_report_csv(self, tmp_path, worked_model):
-        hw = program_from_model(worked_model, epsilon=0.01)
-        path = tmp_path / "report.csv"
-        from inkspread.crossbar import report_to_csv
-
-        report_to_csv(hw.reports[0][0], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "row,col,pulses,residual,budget_exhausted"
-        assert len(lines) == 1 + 2 * 19
 
 
 # -- the batched controller and read path against the per-array reference ------

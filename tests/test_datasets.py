@@ -15,6 +15,7 @@ from inkspread.datasets import (
     gen_f1,
     gen_f2,
     gen_two_spiral,
+    load_csv,
     load_iris,
     spiral_points,
 )
@@ -165,6 +166,67 @@ class TestIris:
         assert ds.samples[0].output == 3.0
         assert ds.samples[50].output == 1.0
         assert ds.samples[100].output == 2.0
+
+
+    def numeric_copy(self, tmp_path, labels):
+        """The bundled iris rows with their class names replaced by ``labels``."""
+        names = {"setosa": labels[0], "versicolor": labels[1], "virginica": labels[2]}
+        rows = [line.rsplit(",", 1) for line in bundled_iris_path().read_text().splitlines()]
+        path = tmp_path / "numeric.csv"
+        path.write_text("".join(f"{x},{names[y]}\n" for x, y in rows))
+        return path
+
+    def test_numeric_labels_are_read_by_value(self, tmp_path):
+        path = self.numeric_copy(tmp_path, ["1", "2", "3"])
+        path.write_text(path.read_text().replace(",1\n", ",1.0\n", 1))
+        ds = load_iris(path)
+        assert ds.class_count == 3
+        y = ds.outputs_array()
+        assert [int((y == k).sum()) for k in (1, 2, 3)] == [50, 50, 50]
+
+    def test_class_count_is_the_largest_numeric_label(self, tmp_path):
+        ds = load_iris(self.numeric_copy(tmp_path, ["1", "2", "5"]))
+        assert ds.class_count == 5
+        assert sorted(set(ds.outputs_array())) == [1.0, 2.0, 5.0]
+
+    @pytest.mark.parametrize("label", ["0", "2.5", "-1", "inf", "nan"])
+    def test_numeric_labels_must_be_integers_from_one(self, tmp_path, label):
+        with pytest.raises(MalformedCsvError, match="integers >= 1"):
+            load_iris(self.numeric_copy(tmp_path, ["1", "2", label]))
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "commented.csv"
+        text = bundled_iris_path().read_text().replace("\n", "  # a note\n", 3)
+        path.write_text("# sepal length, sepal width, petal length, petal width, class\n\n" + text)
+        assert load_iris(path).samples == load_iris().samples
+
+
+class TestCsv:
+    def write(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        return path
+
+    def test_inputs_first_output_last(self, tmp_path):
+        ds = load_csv(self.write(tmp_path, "# x1, x2, y\n1, 2, 3\n\n4,-5,6.5  # last\n"))
+        assert [(s.inputs, s.output) for s in ds.samples] == [((1.0, 2.0), 3.0), ((4.0, -5.0), 6.5)]
+        assert ds.input_ranges == [(1.0, 4.0), (-5.0, 2.0)]
+
+    def test_row_and_column_of_a_bad_field_are_named(self, tmp_path):
+        with pytest.raises(MalformedCsvError, match="row 3 column 2: 'x' is not numeric"):
+            load_csv(self.write(tmp_path, "1,2,3\n# note\n1,x,3\n"))
+
+    def test_one_width(self, tmp_path):
+        with pytest.raises(MalformedCsvError, match="row 2 has 2 columns, expected 3"):
+            load_csv(self.write(tmp_path, "1,2,3\n1,2\n"))
+
+    def test_at_least_an_input_and_an_output(self, tmp_path):
+        with pytest.raises(MalformedCsvError, match="row 1 has 1 columns, expected 2"):
+            load_csv(self.write(tmp_path, "1\n2\n"))
+
+    def test_no_data_rows(self, tmp_path):
+        with pytest.raises(MalformedCsvError, match="no data rows"):
+            load_csv(self.write(tmp_path, "# only a comment\n\n"))
 
 
 class TestDatasetType:
