@@ -80,10 +80,6 @@ class RunConfig:
         if self.hw_substeps > MAX_SUBSTEPS:
             raise ValueError(f"hw_substeps must be <= {MAX_SUBSTEPS}, got {self.hw_substeps}")
 
-    def echo(self) -> dict:
-        """Every setting as a plain dict, for report reproducibility."""
-        return {f.name: getattr(self, f.name) for f in fields(RunConfig)}
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _OPTIONAL_FLOATS = {"input_min", "input_max", "output_min", "output_max"}

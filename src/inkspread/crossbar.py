@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,10 +152,6 @@ class ProgrammingReport:
     iterations: int
 
     @property
-    def converged(self) -> bool:
-        return not bool(self.budget_exhausted.any())
-
-    @property
     def total_pulses(self) -> int:
         return int(self.pulse_counts.sum())
 
@@ -165,43 +161,25 @@ class ProgrammingReport:
 
 
 class CrossbarArray:
-    """One plane's worth of memristors plus its readout and bias constants.
+    """One plane's worth of memristors plus its device and read constants.
 
     Rows index output levels, columns index input levels (both 1-based in
     the public API).  ``w`` holds every cell's doped-region length; all
-    cells start at w = D, i.e. R_on, the all-zero-confidence state.  The
-    reference voltage is fixed to -v_read and the feedback resistor to R_on,
-    which is what makes a fresh cell read exactly zero.
+    cells start at w = D, i.e. R_on, the all-zero-confidence state.
 
     A mode flag stands in for the learning-path isolation switches: user
     reads are refused while the write controller owns the array.
     """
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        params: DeviceParams = DeviceParams(),
-        v_read: float = 0.5,
-        diode_drop: float = 0.7,
-    ):
+    def __init__(self, rows: int, cols: int, params: DeviceParams = DeviceParams(), v_read: float = 0.5):
         if rows < 1 or cols < 1:
             raise ValueError(f"array must be at least 1x1, got {rows}x{cols}")
         if not 0 < abs(v_read) < params.V_th:
             raise ValueError(f"|v_read| = {abs(v_read)} must lie in (0, V_th = {params.V_th})")
-        self.rows = rows
-        self.cols = cols
         self.params = params
         self.v_read = v_read
-        self.v_ref = -v_read
-        self.R_f = params.R_on
-        self.diode_drop = diode_drop
         self.w = np.full((rows, cols), params.D, dtype=float)
         self._mode = "read"
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     def set_mode(self, mode: str) -> None:
         if mode not in ("read", "program"):
@@ -213,22 +191,22 @@ class CrossbarArray:
             raise ModeViolationError("array is being programmed; reads are isolated")
 
 
-def _read_voltages(array: CrossbarArray, w: np.ndarray) -> np.ndarray:
-    """Op-amp output voltages of cells with doped lengths ``w``, read through
-    ``array``'s device and bias constants.
+def _read_voltages(w: np.ndarray, params: DeviceParams, v_read: float) -> np.ndarray:
+    """Op-amp output voltages of cells with doped lengths ``w``.
 
-    v_out = -v_ref + v_read*(-R_f/R_m) with v_ref = -v_read and R_f = R_on,
-    so v_out/v_read is the degree 1 - R_on/R_m: exactly 0 at R_on,
-    approaching 1 - R_on/R_off at R_off.
+    The reference voltage is fixed to -v_read and the feedback resistor to
+    R_on, so v_out = v_read + v_read*(-R_on/R_m) and v_out/v_read is the
+    degree 1 - R_on/R_m: exactly 0 at R_on, which is what makes a fresh
+    cell read zero, approaching 1 - R_on/R_off at R_off.
     """
-    r = _memristance_of_w(w, array.params)
-    return -array.v_ref + array.v_read * (-(array.R_f / r))
+    r = _memristance_of_w(w, params)
+    return v_read + v_read * (-(params.R_on / r))
 
 
 def read_column_voltages(array: CrossbarArray, col: int) -> np.ndarray:
     """Raw op-amp output voltages of every row for one selected column."""
     array._require_read()
-    return _read_voltages(array, array.w[:, col - 1])
+    return _read_voltages(array.w[:, col - 1], array.params, array.v_read)
 
 
 def _check_programming(epsilon: float, prog: ProgrammingParams, p: DeviceParams) -> None:
@@ -277,57 +255,56 @@ def _settle(w: np.ndarray, target_c: np.ndarray, epsilon: float, prog: Programmi
     return np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D), pulses
 
 
-def _program_arrays(
-    arrays: list[CrossbarArray],
+def _program_stacks(
+    states: list[np.ndarray],
     targets: Iterable[np.ndarray],
     epsilon: float,
     prog: ProgrammingParams,
-) -> list[ProgrammingReport]:
-    """Program-and-verify arrays sharing one set of device constants.
+    p: DeviceParams,
+) -> list[list[ProgrammingReport]]:
+    """Program-and-verify stacks of arrays sharing one set of device constants.
 
-    ``targets`` yields each array's hardware target grid.  A cell's
-    trajectory depends only on its start state and its target, so the
-    controller settles each distinct (state, target) pair once and the
-    outcome is copied to every cell holding that pair.  A cell that goes
-    inactive never moves again, so an array's iteration count is its
-    largest pulse count.
+    Each of ``states`` holds the doped lengths of one stack's arrays, shaped
+    (arrays, rows, cols), and every stack holds the same number of arrays.
+    ``targets`` yields each array's hardware target grid: array 0 of every
+    stack, then array 1, and so on.  A cell's trajectory depends only on its
+    start state and its target, so the controller settles each distinct
+    (state, target) pair once and writes the outcome into every cell holding
+    that pair, in place.  Keys are built and outcomes written one array at
+    a time, so no whole-stack temporary is held.  A cell that goes inactive
+    never moves again, so an array's iteration count is its largest pulse
+    count.  Returns the reports indexed [array][stack].
     """
+    arrays = [stack[a] for a in range(len(states[0]) if states else 0) for stack in states]
     if not arrays:
         return []
-    p = arrays[0].params
-    for array in arrays:
-        array.set_mode("program")
-    try:
-        # per array, runs of equal neighbours (the unstained background)
-        # collapse to one complex (state, target) key each; a NaN target
-        # stays a pair of its own, as it would in a per-cell loop
-        run_keys, run_lengths = [], []
-        for array, target in zip(arrays, targets):
-            key = array.w.ravel() + 1j * target.ravel()
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            run_keys.append(key[starts])
-            run_lengths.append(np.diff(np.r_[starts, key.size]))
-        pairs, run_pair = np.unique(np.concatenate(run_keys), return_inverse=True, equal_nan=False)
-        w, pulses = _settle(pairs.real, pairs.imag, epsilon, prog, p)
-        residuals = (1.0 - p.R_on / _memristance_of_w(w, p)) - pairs.imag
-        exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
-        reports = []
-        stop = 0
-        for array, lengths in zip(arrays, run_lengths):
-            runs = run_pair[stop:stop + lengths.size]
-            stop += lengths.size
-            shape = array.w.shape
+    # per array, runs of equal neighbours (the unstained background)
+    # collapse to one complex (state, target) key each; a NaN target
+    # stays a pair of its own, as it would in a per-cell loop
+    run_keys, run_lengths = [], []
+    for state, target in zip(arrays, targets):
+        key = state.ravel() + 1j * target.ravel()
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        run_keys.append(key[starts])
+        run_lengths.append(np.diff(np.r_[starts, key.size]))
+    pairs, run_pair = np.unique(np.concatenate(run_keys), return_inverse=True, equal_nan=False)
+    w, pulses = _settle(pairs.real, pairs.imag, epsilon, prog, p)
+    residuals = (1.0 - p.R_on / _memristance_of_w(w, p)) - pairs.imag
+    exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
+    reports = []
+    stop = 0
+    for state, lengths in zip(arrays, run_lengths):
+        runs = run_pair[stop:stop + lengths.size]
+        stop += lengths.size
 
-            def cells(per_pair):
-                return np.repeat(per_pair[runs], lengths).reshape(shape)
+        def cells(per_pair):
+            return np.repeat(per_pair[runs], lengths).reshape(state.shape)
 
-            array.w = cells(w)
-            reports.append(ProgrammingReport(cells(pulses), cells(residuals), cells(exhausted),
-                                             epsilon, int(pulses[runs].max())))
-        return reports
-    finally:
-        for array in arrays:
-            array.set_mode("read")
+        state[...] = cells(w)
+        reports.append(ProgrammingReport(cells(pulses), cells(residuals), cells(exhausted),
+                                         epsilon, int(pulses[runs].max())))
+    n = len(states)
+    return [reports[k:k + n] for k in range(0, len(reports), n)]
 
 
 def program_plane(
@@ -343,27 +320,17 @@ def program_plane(
     out of pulse budget.
     """
     p = array.params
-    if (array.rows, array.cols) != (target.output_spec.levels, target.input_spec.levels):
+    if array.w.shape != (target.output_spec.levels, target.input_spec.levels):
         raise ValueError(
-            f"array {array.rows}x{array.cols} cannot hold plane "
+            f"array {array.w.shape[0]}x{array.w.shape[1]} cannot hold plane "
             f"{target.output_spec.levels}x{target.input_spec.levels}"
         )
     _check_programming(epsilon, prog, p)
-    return _program_arrays([array], [target.grid.T * attenuation(p)], epsilon, prog)[0]
-
-
-def program_plane_exact(array: CrossbarArray, target: IdsPlane) -> None:
-    """Set cell states directly to the encoded targets (the epsilon -> 0 limit).
-
-    A measurement-free idealization used to check that the attenuated
-    hardware path agrees with the ideal pipeline once programming error is
-    out of the picture.
-    """
-    p = array.params
-    if (array.rows, array.cols) != (target.output_spec.levels, target.input_spec.levels):
-        raise ValueError("array dimensions do not match the plane")
-    r = p.R_on / (1.0 - target.grid.T * attenuation(p))
-    array.w = np.clip(_w_of_memristance(r, p), 0.0, p.D)
+    array.set_mode("program")
+    try:
+        return _program_stacks([array.w[None]], [target.grid.T * attenuation(p)], epsilon, prog, p)[0][0]
+    finally:
+        array.set_mode("read")
 
 
 def _diode_network(voltages, name: str, axis: int | None, reduce):
@@ -427,14 +394,25 @@ def defuzz_circuit(mu_voltages, n_y: int, R: float = 1000.0, floor: float = 0.0)
 
 @dataclass
 class HardwareModel:
-    """A programmed crossbar per (group, input variable), mirroring a Model."""
+    """A Model programmed onto crossbars, one per (group, input variable).
 
-    group_arrays: list[list[CrossbarArray]]
+    ``states[j]`` holds the doped lengths of input j's arrays, one per
+    group, shaped (groups, output levels, input levels).  Every array reads
+    through the same device and read constants, and ``reports[g][j]`` is
+    the programming report of group g's array for input j.
+    """
+
+    states: list[np.ndarray]
     input_specs: list[QuantizationSpec]
     output_spec: QuantizationSpec
+    params: DeviceParams
+    v_read: float
     diode_drop: float
-    divider_floor: float
-    reports: list[list[ProgrammingReport]] = field(default_factory=list)
+    reports: list[list[ProgrammingReport]]
+
+    @property
+    def divider_floor(self) -> float:
+        return 1e-4 * self.v_read
 
     @property
     def worst_residual(self) -> float:
@@ -451,40 +429,26 @@ def program_from_model(
     prog: ProgrammingParams = ProgrammingParams(),
     v_read: float = 0.5,
     diode_drop: float = 0.7,
-    exact: bool = False,
 ) -> HardwareModel:
-    """Build and program one crossbar per plane of the given model.
+    """Program one crossbar per plane of the given model.
 
-    Every array of the model goes through one run of the write controller,
-    which settles each distinct (start state, target) pair once; each array
-    still gets its own report.
+    Every array starts fresh, at R_on, and all of them go through one run
+    of the write controller, which settles each distinct (start state,
+    target) pair once; each array still gets its own report.  A group's
+    targets are derived from its own stains when its arrays are keyed, so
+    no stack of the model's planes is held.  Reads need 0 < v_read < V_th:
+    at a negative bias a fresh cell would outread every programmed one.
     """
     _check_programming(epsilon, prog, params)
+    if not 0 < v_read < params.V_th:
+        raise ValueError(f"v_read = {v_read} must lie in (0, V_th = {params.V_th})")
     if not math.isfinite(diode_drop):
         raise ValueError(f"diode_drop must be finite, got {diode_drop}")
-    stacks = model.input_stacks()
-    group_arrays = [[CrossbarArray(model.output_spec.levels, spec.levels, params, v_read, diode_drop)
-                     for spec in model.input_specs] for _ in range(len(model.groups))]
-    arrays = [arr for row in group_arrays for arr in row]
-    planes = [IdsPlane(spec, model.output_spec, stack[g]) for g in range(len(group_arrays))
-              for spec, stack in zip(model.input_specs, stacks)]
-    if exact:
-        for arr, plane in zip(arrays, planes):
-            program_plane_exact(arr, plane)
-        reports: list[list[ProgrammingReport]] = [[] for _ in group_arrays]
-    else:
-        att = attenuation(params)
-        flat = _program_arrays(arrays, (plane.grid.T * att for plane in planes), epsilon, prog)
-        n_in = model.n_inputs
-        reports = [flat[k:k + n_in] for k in range(0, len(flat), n_in)]
-    return HardwareModel(
-        group_arrays,
-        list(model.input_specs),
-        model.output_spec,
-        diode_drop,
-        1e-4 * abs(v_read),
-        reports,
-    )
+    n_g, n_in, att = len(model.groups), model.n_inputs, attenuation(params)
+    states = [np.full((n_g, model.output_spec.levels, spec.levels), params.D) for spec in model.input_specs]
+    targets = (model.plane(g, j).grid.T * att for g in range(n_g) for j in range(n_in))
+    reports = _program_stacks(states, targets, epsilon, prog, params)
+    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop, reports)
 
 
 def crossbar_infer(hw: HardwareModel, x):
@@ -497,12 +461,10 @@ def crossbar_infer(hw: HardwareModel, x):
     underflows or an input is NaN; the other rows do not depend on it.
 
     The batch is read as the hardware reads it, every array at once: per
-    input, each array's distinct selected columns are read once, and each
-    query gathers its rows from them.  The queries then pass, a chunk at a
-    time, through the diode min over inputs, the diode max over groups and
-    the divider.  Every array of ``hw`` shares the device and read
-    constants that program_from_model gave it, and must be in read mode,
-    else ModeViolationError.
+    input, the distinct selected columns of its state tensor are read
+    once, a bounded slab of groups at a time, and each query gathers its
+    rows from them.  The queries then pass, a chunk at a time, through the
+    diode min over inputs, the diode max over groups and the divider.
     """
     X = np.asarray(x, dtype=float)
     n_in = len(hw.input_specs)
@@ -516,26 +478,23 @@ def crossbar_infer(hw: HardwareModel, x):
     nan = np.isnan(X).any(axis=1)
     if single and nan[0]:
         raise ValueError("NaN has no quantization level")
-    groups, out = hw.group_arrays, hw.output_spec
-    for arrays in groups:
-        for arr in arrays:
-            arr._require_read()
+    out, n_g = hw.output_spec, len(hw.states[0]) if hw.states else 0
     X = np.where(nan[:, None], [spec.min for spec in hw.input_specs], X)
     n_y = out.levels
     # per input: the voltages of each distinct selected column, (cols, groups,
     # rows), read a bounded slab of groups at a time, and each query's index
     # into them
     reads = []
-    for j, spec in enumerate(hw.input_specs if groups else ()):
+    for j, (spec, state) in enumerate(zip(hw.input_specs, hw.states) if n_g else ()):
         cols, inverse = np.unique(quantize_many(spec, X[:, j]) - 1, return_inverse=True)
-        block = np.empty((len(cols), len(groups), n_y))
+        block = np.empty((len(cols), n_g, n_y))
         slab = max(1, _READ_ELEMENTS // max(1, len(cols) * n_y))
-        for g0 in range(0, len(groups), slab):
-            w = np.array([arrays[j].w.take(cols, axis=1) for arrays in groups[g0:g0 + slab]])
-            block[:, g0:g0 + slab] = _read_voltages(groups[0][0], w).transpose(2, 0, 1)
+        for g0 in range(0, n_g, slab):
+            w = state[g0:g0 + slab].take(cols, axis=2)
+            block[:, g0:g0 + slab] = _read_voltages(w, hw.params, hw.v_read).transpose(2, 0, 1)
         reads.append((block, inverse))
     levels = np.empty(len(X))
-    step = max(1, _READ_ELEMENTS // (n_in * max(1, len(groups)) * n_y))
+    step = max(1, _READ_ELEMENTS // (n_in * max(1, n_g) * n_y))
     for b0 in range(0, len(X), step):
         rows = slice(b0, b0 + step)
         if reads:

@@ -52,10 +52,6 @@ class FuzzyOutput:
     level_values: np.ndarray
     confidences: np.ndarray
 
-    @property
-    def entries(self) -> list[tuple[float, float]]:
-        return list(zip(self.level_values.tolist(), self.confidences.tolist()))
-
 
 class _Diagonal(NamedTuple):
     """The runs of d + 1 stains, sorted by slot and then by group."""

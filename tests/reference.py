@@ -6,8 +6,9 @@ production path operation for operation (same divisions, same min/max
 selection, same np.sum accumulation) so agreement can be asserted bitwise.
 
 The crossbar twin has its own references: the write controller run array
-by array over every cell, and the analog read cascade run one array and
-one diode stage at a time.
+by array over every cell, the analog read cascade run one array and one
+diode stage at a time, and the idealised programming that sets every cell
+straight to its encoded target.
 """
 
 from __future__ import annotations
@@ -179,6 +180,29 @@ def program_plane_reference(
     return ProgrammingReport(pulses, residuals, exhausted, epsilon, iterations)
 
 
+def program_plane_exact(array: CrossbarArray, target: IdsPlane) -> None:
+    """Set cell states directly to the encoded targets (the epsilon -> 0 limit).
+
+    A measurement-free idealization: it checks that the attenuated hardware
+    path agrees with the ideal pipeline once programming error is out of
+    the picture.
+    """
+    p = array.params
+    r = p.R_on / (1.0 - target.grid.T * attenuation(p))
+    array.w = np.clip(_w_of_memristance(r, p), 0.0, p.D)
+
+
+def _hardware(model: Model, group_arrays, params: DeviceParams, v_read: float, diode_drop: float,
+              reports) -> HardwareModel:
+    """The twin holding the states of ``group_arrays[g][j]``, packed into one
+    (groups, rows, cols) stack per input."""
+    n_y = model.output_spec.levels
+    states = [np.array([arrays[j].w for arrays in group_arrays]).reshape(len(group_arrays), n_y, spec.levels)
+              for j, spec in enumerate(model.input_specs)]
+    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop,
+                         reports)
+
+
 def program_from_model_reference(
     model: Model,
     epsilon: float = 0.01,
@@ -191,24 +215,45 @@ def program_from_model_reference(
     n_y = model.output_spec.levels
     group_arrays, reports = [], []
     for g in range(len(model.groups)):
-        arrays = [CrossbarArray(n_y, spec.levels, params, v_read, diode_drop)
-                  for spec in model.input_specs]
+        arrays = [CrossbarArray(n_y, spec.levels, params, v_read) for spec in model.input_specs]
         reports.append([program_plane_reference(arr, model.plane(g, j), epsilon, prog)
                         for j, arr in enumerate(arrays)])
         group_arrays.append(arrays)
-    return HardwareModel(group_arrays, list(model.input_specs), model.output_spec,
-                         diode_drop, 1e-4 * abs(v_read), reports)
+    return _hardware(model, group_arrays, params, v_read, diode_drop, reports)
+
+
+def program_from_model_exact(
+    model: Model,
+    params: DeviceParams = DeviceParams(),
+    v_read: float = 0.5,
+    diode_drop: float = 0.7,
+) -> HardwareModel:
+    """One array per plane, each set exactly to its encoded targets; no reports."""
+    n_y = model.output_spec.levels
+    group_arrays = []
+    for g in range(len(model.groups)):
+        arrays = [CrossbarArray(n_y, spec.levels, params, v_read) for spec in model.input_specs]
+        for j, arr in enumerate(arrays):
+            program_plane_exact(arr, model.plane(g, j))
+        group_arrays.append(arrays)
+    return _hardware(model, group_arrays, params, v_read, diode_drop, [])
 
 
 def crossbar_infer_reference(hw: HardwareModel, x) -> float:
-    """Analog inference read one column of one array at a time."""
+    """Analog inference read one column of one array at a time: each
+    group's array for input j is rebuilt from its slice of ``hw.states[j]``."""
     cols = [quantize(spec, float(xi)) for spec, xi in zip(hw.input_specs, x)]
     n_y = hw.output_spec.levels
     level_mu = np.zeros(n_y)
-    if hw.group_arrays:
+    n_g = len(hw.states[0]) if hw.states else 0
+    if n_g:
         group_mins = []
-        for arrays in hw.group_arrays:
-            plane_vs = [read_column_voltages(arr, cols[j]) for j, arr in enumerate(arrays)]
+        for g in range(n_g):
+            plane_vs = []
+            for j, state in enumerate(hw.states):
+                arr = CrossbarArray(*state[g].shape, hw.params, hw.v_read)
+                arr.w = state[g]
+                plane_vs.append(read_column_voltages(arr, cols[j]))
             group_mins.append(np.minimum.reduce(plane_vs) + hw.diode_drop)
         level_mu = np.maximum.reduce(group_mins) - hw.diode_drop
     level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)

@@ -260,9 +260,9 @@ def test_device_model(capsys):
 
     model = _worked_model()
     hw = program_from_model(model, epsilon=0.01)
-    before = [arr.w.copy() for row in hw.group_arrays for arr in row]
+    before = [state.copy() for state in hw.states]
     crossbar_infer(hw, np.random.default_rng(3).uniform(1.0, 10.0, size=(200, 2)))
-    after = [arr.w for row in hw.group_arrays for arr in row]
+    after = hw.states
     checks.append(("sub-threshold reads leave state", all(
         a.tobytes() == b.tobytes() for a, b in zip(after, before))))
 

@@ -331,6 +331,17 @@ class TestCompareHw:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("v_read", ["-0.5", "-0.0", "0", "1.0"])
+    def test_read_voltage_outside_zero_to_threshold_exits_2(self, model_path, v_read, tmp_path, capsys):
+        # a negative read would leave every query underflowing, not only the uncovered ones
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "5",
+                       "--out", str(out), "--set", f"hw_v_read={v_read}"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: v_read = ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("train", [[], ["--set", "dataset=f2", "--set", "train_count=30",
                                             "--set", "input_levels=24", "--set", "output_levels=24",
                                             "--set", "input_min=", "--set", "input_max=",

@@ -1,5 +1,7 @@
 """Flat key=value run configuration."""
 
+from dataclasses import asdict
+
 import pytest
 
 from inkspread.config import RunConfig, load_config, parse_config_text
@@ -12,12 +14,11 @@ class TestDefaults:
         assert cfg.policy == "full"
         assert cfg.input_levels == 128
 
-    def test_echo_lists_every_field(self):
-        cfg = RunConfig()
-        echoed = cfg.echo()
-        assert echoed["radius_in"] == 10.0
-        assert echoed["hw_R_off"] == 10000.0
-        assert len(echoed) >= 25
+    def test_every_field_has_a_default(self):
+        settings = asdict(RunConfig())
+        assert settings["radius_in"] == 10.0
+        assert settings["hw_R_off"] == 10000.0
+        assert len(settings) >= 25
 
 
 class TestValidation:

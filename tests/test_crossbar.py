@@ -1,6 +1,7 @@
 """Device model, closed-loop programming, analog stages, end-to-end twin."""
 
 import math
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -18,7 +19,7 @@ from inkspread.crossbar import (
     DeviceParams,
     ProgrammingParams,
     _memristance_of_w,
-    _program_arrays,
+    _program_stacks,
     _pulse_r_squared,
     _w_of_memristance,
     attenuation,
@@ -28,13 +29,19 @@ from inkspread.crossbar import (
     diode_min,
     program_from_model,
     program_plane,
-    program_plane_exact,
     read_column_voltages,
 )
+from inkspread.datasets import gen_f2
 from inkspread.inference import infer
 from inkspread.model import IdsPlane, Model, Sample, diffuse, empty_plane, train_full, train_merged
 
-from reference import crossbar_infer_reference, program_from_model_reference, program_plane_reference
+from reference import (
+    crossbar_infer_reference,
+    program_from_model_exact,
+    program_from_model_reference,
+    program_plane_exact,
+    program_plane_reference,
+)
 
 P = DeviceParams()
 
@@ -205,13 +212,12 @@ class TestEncodingAndReadout:
 
     def test_reads_leave_every_array_bitwise_unchanged(self, worked_model):
         hw = program_from_model(worked_model, epsilon=0.01)
-        arrays = [arr for row in hw.group_arrays for arr in row]
-        before = [arr.w.copy() for arr in arrays]
+        before = [state.copy() for state in hw.states]
         rng = np.random.default_rng(0)
         queries = np.column_stack([rng.uniform(s.min, s.max, 300) for s in worked_model.input_specs])
         crossbar_infer(hw, queries)
         crossbar_infer(hw, queries[:1])
-        assert all(arr.w.tobytes() == w.tobytes() for arr, w in zip(arrays, before))
+        assert all(same_bits(state, w) for state, w in zip(hw.states, before))
         assert (read_column_voltages(CrossbarArray(3, 2), 2) == 0.0).all()
 
 
@@ -235,7 +241,7 @@ class TestProgramPlane:
     def test_stain_target_converges_within_epsilon(self):
         array = CrossbarArray(OUT6.levels, IN8.levels)
         report = program_plane(array, stain_plane(), 0.01)
-        assert report.converged
+        assert not report.budget_exhausted.any()
         assert report.max_abs_residual <= 0.01
 
     def test_reprogramming_converged_plane_is_free(self):
@@ -251,16 +257,15 @@ class TestProgramPlane:
         plane.grid[:] = rng.uniform(0, 1, plane.grid.shape)
         array = CrossbarArray(OUT6.levels, IN8.levels)
         report = program_plane(array, plane, 0.005)
-        assert report.converged
+        assert not report.budget_exhausted.any()
         assert report.max_abs_residual <= 0.005
 
     def test_budget_exhaustion_is_reported_not_fatal(self):
         array = CrossbarArray(OUT6.levels, IN8.levels)
         prog = ProgrammingParams(budget_per_cell=1)
         report = program_plane(array, stain_plane(), 1e-4, prog)
-        assert not report.converged
         assert report.budget_exhausted.any()
-        assert array.mode == "read"
+        read_column_voltages(array, 1)  # the write controller let go of the array
 
     def test_dimension_mismatch_rejected(self):
         array = CrossbarArray(3, 3)
@@ -279,7 +284,7 @@ class TestProgramPlane:
         array = CrossbarArray(OUT6.levels, IN8.levels)
         with pytest.raises(ValueError):
             program_plane(array, stain_plane(), eps)
-        assert array.mode == "read" and np.all(array.w == P.D)
+        assert np.all(read_column_voltages(array, 1) == 0.0) and np.all(array.w == P.D)
 
     def test_exact_programming_reads_back_attenuated_grid(self):
         array = CrossbarArray(OUT6.levels, IN8.levels)
@@ -429,7 +434,7 @@ class TestEndToEnd:
             assert abs(crossbar_infer(hw, q) - ideal) <= 3 * eps * span
 
     def test_exact_programming_matches_ideal(self, worked_model):
-        hw = program_from_model(worked_model, exact=True)
+        hw = program_from_model_exact(worked_model)
         rng = np.random.default_rng(9)
         for q, ideal in covered_queries(worked_model, rng, 60):
             assert crossbar_infer(hw, q) == pytest.approx(ideal, abs=1e-12)
@@ -508,6 +513,18 @@ class TestBatchBoundary:
         with pytest.raises(ValueError):
             program_from_model(worked_model, epsilon=0.01, diode_drop=drop)
 
+    @pytest.mark.parametrize("v_read", [-0.5, -1e-3, 0.0, -0.0, 1.0, 1.5, math.nan, math.inf])
+    def test_read_voltage_outside_zero_to_threshold_rejected(self, worked_model, v_read):
+        # at a negative bias a fresh cell reads 0 and outreads every
+        # programmed one, so the diode max would answer no query
+        with pytest.raises(ValueError, match="v_read"):
+            program_from_model(worked_model, epsilon=0.01, v_read=v_read)
+
+    def test_a_small_positive_read_voltage_answers(self, worked_model):
+        want = crossbar_infer(program_from_model(worked_model, 0.01), self.QUERIES)
+        got = crossbar_infer(program_from_model(worked_model, 0.01, v_read=0.999), self.QUERIES)
+        assert np.isnan(got).tolist() == np.isnan(want).tolist() == [False, True, False, False]
+
 
 # -- the batched controller and read path against the per-array reference ------
 
@@ -525,12 +542,11 @@ def assert_same_report(got, want):
 
 
 def assert_same_hardware(got, want):
-    assert len(got.group_arrays) == len(want.group_arrays)
-    for got_row, want_row in zip(got.group_arrays, want.group_arrays):
-        assert len(got_row) == len(want_row)
-        for a, b in zip(got_row, want_row):
-            assert same_bits(a.w, b.w)
-            assert a.mode == b.mode == "read"
+    assert len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        assert same_bits(a, b)
+    assert (got.params, repr(got.v_read), repr(got.diode_drop)) == (want.params, repr(want.v_read),
+                                                                     repr(want.diode_drop))
     assert [len(row) for row in got.reports] == [len(row) for row in want.reports]
     for got_row, want_row in zip(got.reports, want.reports):
         for a, b in zip(got_row, want_row):
@@ -594,7 +610,8 @@ class TestBatchedTwinMatchesReference:
     def test_empty_model_programs_nothing(self):
         empty = Model([], SPECS, OUT, StainRadii(3.0, 1.5))
         got = program_from_model(empty, 0.01)
-        assert got.group_arrays == [] and got.reports == []
+        assert [state.shape for state in got.states] == [(0, OUT.levels, spec.levels) for spec in SPECS]
+        assert got.reports == []
         assert_same_hardware(got, program_from_model_reference(empty, 0.01))
 
     @settings(max_examples=40, deadline=None)
@@ -609,31 +626,35 @@ class TestBatchedTwinMatchesReference:
             assert_same_report(program_plane(got, plane, eps, prog),
                                program_plane_reference(want, plane, eps, prog))
             assert same_bits(got.w, want.w)
-            assert got.mode == "read"
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 0.05), controllers())
     def test_arrays_of_any_shape_and_state_keep_their_own_reports(self, seed, eps, prog):
-        """Arrays of one batch differ in shape, start state and largest pulse count."""
+        """Stacks of one batch differ in shape, and their arrays in start
+        state and largest pulse count."""
         rng = np.random.default_rng(seed)
-        shapes = [tuple(rng.integers(2, 7, 2)) for _ in range(rng.integers(1, 5))]
-        got = [CrossbarArray(*shape) for shape in shapes]
-        want = [CrossbarArray(*shape) for shape in shapes]
-        for a, b in zip(got, want):
-            a.w = b.w = rng.choice([0.0, 0.5, 1.0], a.w.shape) * P.D
-        grids = [rng.choice([0.0, 0.3, rng.uniform()], shape[::-1]) for shape in shapes]
-        planes = [IdsPlane(QuantizationSpec(0, 1, c), QuantizationSpec(0, 1, r), grid)
-                  for (r, c), grid in zip(shapes, grids)]
-        reports = _program_arrays(got, [grid.T * attenuation(P) for grid in grids], eps, prog)
-        for a, b, plane, report in zip(got, want, planes, reports):
-            assert_same_report(report, program_plane_reference(b, plane, eps, prog))
-            assert same_bits(a.w, b.w)
+        n_arrays = rng.integers(1, 4)
+        shapes = [tuple(rng.integers(2, 7, 2)) for _ in range(rng.integers(1, 4))]
+        states = [rng.choice([0.0, 0.5, 1.0], (n_arrays, *shape)) * P.D for shape in shapes]
+        want = [[CrossbarArray(*shape) for shape in shapes] for _ in range(n_arrays)]
+        planes = []
+        for a in range(n_arrays):
+            for b, state, (r, c) in zip(want[a], states, shapes):
+                b.w = state[a].copy()
+                grid = rng.choice([0.0, 0.3, rng.uniform()], (c, r))
+                planes.append(IdsPlane(QuantizationSpec(0, 1, c), QuantizationSpec(0, 1, r), grid))
+        reports = _program_stacks(states, [plane.grid.T * attenuation(P) for plane in planes], eps, prog, P)
+        assert [len(row) for row in reports] == [len(shapes)] * n_arrays
+        for a in range(n_arrays):
+            for j, (b, state) in enumerate(zip(want[a], states)):
+                assert_same_report(reports[a][j], program_plane_reference(b, planes[a * len(shapes) + j], eps, prog))
+                assert same_bits(state[a], b.w)
 
     @settings(max_examples=40, deadline=None)
     @given(small_models(), st.booleans(), st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
                                                    min_size=1, max_size=12))
     def test_crossbar_infer_is_bitwise_the_per_array_cascade(self, model, exact, points):
-        hw = program_from_model(model, 0.01, exact=exact)
+        hw = program_from_model_exact(model) if exact else program_from_model(model, 0.01)
         for point in points:
             q = point[:model.n_inputs]
             try:
@@ -648,11 +669,11 @@ class TestBatchedTwinMatchesReference:
     @given(twin_models(), st.booleans(), st.integers(1, 4), st.data())
     def test_every_batch_row_is_bitwise_the_per_query_reference(self, model, exact, chunk, data):
         """Batches of one query, one chunk and one chunk and a query."""
-        hw = program_from_model(model, 0.01, exact=exact)
+        hw = program_from_model_exact(model) if exact else program_from_model(model, 0.01)
         size = data.draw(st.sampled_from([1, chunk, chunk + 1]))
         coord = st.floats(-0.2, 1.2) | st.sampled_from([-math.inf, math.inf])
         X = np.array(data.draw(st.lists(st.tuples(*[coord] * model.n_inputs), min_size=size, max_size=size)))
-        per_query = model.n_inputs * max(1, len(hw.group_arrays)) * model.output_spec.levels
+        per_query = model.n_inputs * max(1, len(model.groups)) * model.output_spec.levels
         divider = crossbar.defuzz_circuit
         calls = []
         with (patch.object(crossbar, "_READ_ELEMENTS", chunk * per_query),
@@ -674,7 +695,8 @@ class TestBatchedTwinMatchesReference:
         specs = [QuantizationSpec(0.0, 1.0, 9) for _ in range(3)]
         out = QuantizationSpec(-2.3, 4.1, 11)
         samples = [Sample(tuple(rng.uniform(0, 1, 3)), float(rng.uniform(-2.3, 4.1))) for _ in range(30)]
-        hw = program_from_model(train(samples, specs, out, StainRadii(3.0, 2.5)), 0.01, exact=exact)
+        model = train(samples, specs, out, StainRadii(3.0, 2.5))
+        hw = program_from_model_exact(model) if exact else program_from_model(model, 0.01)
         X = rng.uniform(-0.1, 1.1, (300, 3))
         got = crossbar_infer(hw, X)
         covered = 0
@@ -688,14 +710,24 @@ class TestBatchedTwinMatchesReference:
             assert repr(float(value)) == repr(want)
         assert covered > 100
 
-    def test_any_array_in_program_mode_refuses_the_read(self, worked_model):
-        hw = program_from_model(worked_model, 0.01)
-        q = (2.5, 3.5)
-        want = crossbar_infer(hw, q)
-        for arrays in hw.group_arrays:
-            for arr in arrays:
-                arr.set_mode("program")
-                with pytest.raises(ModeViolationError):
-                    crossbar_infer(hw, q)
-                arr.set_mode("read")
-        assert crossbar_infer(hw, q) == want
+
+class TestProgrammingMemory:
+    def test_the_peak_stays_near_what_the_twin_holds(self):
+        """Keys are built and outcomes written one array at a time: a
+        whole-model temporary (targets, start states or per-cell pair
+        indices) would lift the peak well past the held states and reports."""
+        ds = gen_f2(50, 123)
+        specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
+        outs = [s.output for s in ds.samples]
+        model = train_full(ds.samples, specs, QuantizationSpec(min(outs), max(outs), 64), StainRadii(10.0, 10.0))
+        tracemalloc.start()
+        try:
+            hw = program_from_model(model, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(state.nbytes for state in hw.states) + sum(
+            r.pulse_counts.nbytes + r.residuals.nbytes + r.budget_exhausted.nbytes
+            for row in hw.reports for r in row)
+        assert held == 50 * 2 * 64 * 64 * (8 + 8 + 8 + 1)
+        assert peak <= 1.5 * held, f"traced peak {peak} B against {held} B held"

@@ -416,8 +416,7 @@ class TestLevelValueSemantics:
         for k in (1, 2):
             assert fz.level_values[k - 1] == dequantize(OUT, k)
 
-    def test_entries_pairs(self, worked_model):
+    def test_one_confidence_per_level(self, worked_model):
         fz = infer_fuzzy(worked_model, QUERY)
-        entries = fz.entries
-        assert len(entries) == 2
-        assert entries[0][0] == 1.0 and entries[1][0] == 2.0
+        assert fz.level_values.tolist() == [1.0, 2.0]
+        assert fz.confidences.shape == (2,)
