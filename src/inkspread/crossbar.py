@@ -143,21 +143,14 @@ class ProgrammingParams:
 
 @dataclass
 class ProgrammingReport:
-    """Per-cell outcome of one program_plane run."""
+    """What programming one array did: its pulses in all, the largest
+    |degree - target| left on a cell, the per-cell mask of cells out of
+    pulse budget (for fault detection) and the controller iterations."""
 
-    pulse_counts: np.ndarray
-    residuals: np.ndarray
+    total_pulses: int
+    max_abs_residual: float
     budget_exhausted: np.ndarray
-    epsilon: float
     iterations: int
-
-    @property
-    def total_pulses(self) -> int:
-        return int(self.pulse_counts.sum())
-
-    @property
-    def max_abs_residual(self) -> float:
-        return float(np.abs(self.residuals).max()) if self.residuals.size else 0.0
 
 
 class CrossbarArray:
@@ -206,6 +199,8 @@ def _read_voltages(w: np.ndarray, params: DeviceParams, v_read: float) -> np.nda
 def read_column_voltages(array: CrossbarArray, col: int) -> np.ndarray:
     """Raw op-amp output voltages of every row for one selected column."""
     array._require_read()
+    if not 1 <= col <= array.w.shape[1]:
+        raise ValueError(f"column {col} outside 1..{array.w.shape[1]}")
     return _read_voltages(array.w[:, col - 1], array.params, array.v_read)
 
 
@@ -271,9 +266,11 @@ def _program_stacks(
     start state and its target, so the controller settles each distinct
     (state, target) pair once and writes the outcome into every cell holding
     that pair, in place.  Keys are built and outcomes written one array at
-    a time, so no whole-stack temporary is held.  A cell that goes inactive
-    never moves again, so an array's iteration count is its largest pulse
-    count.  Returns the reports indexed [array][stack].
+    a time, so no whole-stack temporary is held; an array's totals come
+    from its runs, and only states and exhausted flags are expanded to
+    cells.  A cell that goes inactive never moves again, so an array's
+    iteration count is its largest pulse count.  Returns the reports
+    indexed [array][stack].
     """
     arrays = [stack[a] for a in range(len(states[0]) if states else 0) for stack in states]
     if not arrays:
@@ -296,13 +293,10 @@ def _program_stacks(
     for state, lengths in zip(arrays, run_lengths):
         runs = run_pair[stop:stop + lengths.size]
         stop += lengths.size
-
-        def cells(per_pair):
-            return np.repeat(per_pair[runs], lengths).reshape(state.shape)
-
-        state[...] = cells(w)
-        reports.append(ProgrammingReport(cells(pulses), cells(residuals), cells(exhausted),
-                                         epsilon, int(pulses[runs].max())))
+        state[...] = np.repeat(w[runs], lengths).reshape(state.shape)
+        reports.append(ProgrammingReport(int(pulses[runs] @ lengths), float(np.abs(residuals[runs]).max()),
+                                         np.repeat(exhausted[runs], lengths).reshape(state.shape),
+                                         int(pulses[runs].max())))
     n = len(states)
     return [reports[k:k + n] for k in range(0, len(reports), n)]
 
@@ -438,12 +432,14 @@ def program_from_model(
     targets are derived from its own stains when its arrays are keyed, so
     no stack of the model's planes is held.  Reads need 0 < v_read < V_th:
     at a negative bias a fresh cell would outread every programmed one.
+    The min stage adds the diode drop and the max stage takes it off, so a
+    drop beyond [0, V_th] would only round away the read voltages.
     """
     _check_programming(epsilon, prog, params)
     if not 0 < v_read < params.V_th:
         raise ValueError(f"v_read = {v_read} must lie in (0, V_th = {params.V_th})")
-    if not math.isfinite(diode_drop):
-        raise ValueError(f"diode_drop must be finite, got {diode_drop}")
+    if not 0 <= diode_drop <= params.V_th:
+        raise ValueError(f"diode_drop = {diode_drop} must lie in [0, V_th = {params.V_th}]")
     n_g, n_in, att = len(model.groups), model.n_inputs, attenuation(params)
     states = [np.full((n_g, model.output_spec.levels, spec.levels), params.D) for spec in model.input_specs]
     targets = (model.plane(g, j).grid.T * att for g in range(n_g) for j in range(n_in))

@@ -177,7 +177,7 @@ def program_plane_reference(
     array.w = np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D)
     residuals = (1.0 - p.R_on / _memristance_of_w(array.w, p)) - target_c
     exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
-    return ProgrammingReport(pulses, residuals, exhausted, epsilon, iterations)
+    return ProgrammingReport(int(pulses.sum()), float(np.abs(residuals).max()), exhausted, iterations)
 
 
 def program_plane_exact(array: CrossbarArray, target: IdsPlane) -> None:

@@ -342,6 +342,17 @@ class TestCompareHw:
         assert err.startswith("error: v_read = ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("drop", ["-0.1", "1.5", "1e16"])
+    def test_diode_drop_outside_zero_to_threshold_exits_2(self, model_path, drop, tmp_path, capsys):
+        # a huge drop would round every read away, leaving every query underflowing
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "5",
+                       "--out", str(out), "--set", f"hw_diode_drop={drop}"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error: diode_drop = ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("train", [[], ["--set", "dataset=f2", "--set", "train_count=30",
                                             "--set", "input_levels=24", "--set", "output_levels=24",
                                             "--set", "input_min=", "--set", "input_max=",
