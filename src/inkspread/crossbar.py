@@ -24,7 +24,8 @@ ladder realizes its integer gains exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ from .model import IdsPlane, Model
 # bounds the cells one step of a batched read converts or gathers: a slab of
 # groups shrinks to fit, and so does a chunk of queries
 _READ_ELEMENTS = 1 << 16
+# bounds the cells of one slab of arrays that programming keys and writes
+# back at once, unless one array holds more
+_PROGRAM_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,8 @@ class ProgrammingParams:
     then halves on every sign reversal, which brackets the target like a
     bisection.  A fixed-width scheme at these device constants would need
     ~3e5 pulses to cross the full resistance range and could not settle
-    within tight epsilon near R_on.  ``substeps`` lies in 1..MAX_SUBSTEPS.
+    within tight epsilon near R_on.  ``substeps`` is an integer in
+    1..MAX_SUBSTEPS and ``budget_per_cell`` a positive integer.
     """
 
     v_prog: float = 1.5
@@ -131,6 +136,10 @@ class ProgrammingParams:
     budget_per_cell: int = 10_000
 
     def __post_init__(self):
+        for name in ("substeps", "budget_per_cell"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.v_prog) and math.isfinite(self.base_width)):
             raise ValueError("v_prog and base_width must be finite")
         if self.v_prog <= 0 or self.base_width <= 0:
@@ -252,7 +261,7 @@ def _settle(w: np.ndarray, target_c: np.ndarray, epsilon: float, prog: Programmi
 
 def _program_stacks(
     states: list[np.ndarray],
-    targets: Iterable[np.ndarray],
+    targets: Callable[[int, int, int], np.ndarray],
     epsilon: float,
     prog: ProgrammingParams,
     p: DeviceParams,
@@ -261,44 +270,65 @@ def _program_stacks(
 
     Each of ``states`` holds the doped lengths of one stack's arrays, shaped
     (arrays, rows, cols), and every stack holds the same number of arrays.
-    ``targets`` yields each array's hardware target grid: array 0 of every
-    stack, then array 1, and so on.  A cell's trajectory depends only on its
-    start state and its target, so the controller settles each distinct
-    (state, target) pair once and writes the outcome into every cell holding
-    that pair, in place.  Keys are built and outcomes written one array at
-    a time, so no whole-stack temporary is held; an array's totals come
-    from its runs, and only states and exhausted flags are expanded to
-    cells.  A cell that goes inactive never moves again, so an array's
-    iteration count is its largest pulse count.  Returns the reports
-    indexed [array][stack].
+    ``targets(j, a0, a1)`` gives the hardware target grids of arrays a0:a1
+    of stack j, shaped like ``states[j][a0:a1]``, with every value in
+    [0, 1].  A cell's trajectory depends only on its start state and its
+    target, so the controller settles each distinct (state, target) pair
+    once and writes the outcome into every cell holding that pair, in
+    place.  Keys are built and outcomes written one slab of at most
+    ``_PROGRAM_CELLS`` cells (or one array) at a time, so no whole-stack
+    temporary is held: in a slab, runs of equal neighbours (the unstained
+    background) collapse to one (state, target) pair each, with a break at
+    every array boundary.  An array's totals come from its runs, and only
+    states and exhausted flags are expanded to cells.  A cell that goes
+    inactive never moves again, so an array's iteration count is its
+    largest pulse count.  Returns the reports indexed [array][stack].
     """
-    arrays = [stack[a] for a in range(len(states[0]) if states else 0) for stack in states]
-    if not arrays:
+    slabs, run_w0, run_targets, run_lengths, run_firsts = [], [], [], [], []
+    for j, state in enumerate(states):
+        cells = math.prod(state.shape[1:])
+        step = max(1, _PROGRAM_CELLS // cells)
+        for a0 in range(0, len(state), step):
+            a1 = min(a0 + step, len(state))
+            w0, target = state[a0:a1].reshape(-1), targets(j, a0, a1).reshape(-1)
+            new = np.empty(w0.size, dtype=bool)
+            np.not_equal(w0[1:], w0[:-1], out=new[1:])
+            new[1:] |= target[1:] != target[:-1]
+            new[::cells] = True
+            starts = np.flatnonzero(new)
+            slabs.append((j, a0, a1))
+            run_w0.append(w0[starts])
+            run_targets.append(target[starts])
+            run_lengths.append(np.diff(starts, append=w0.size))
+            run_firsts.append(np.searchsorted(starts, np.arange(0, w0.size, cells)))
+    if not slabs:
         return []
-    # per array, runs of equal neighbours (the unstained background)
-    # collapse to one complex (state, target) key each; a NaN target
-    # stays a pair of its own, as it would in a per-cell loop
-    run_keys, run_lengths = [], []
-    for state, target in zip(arrays, targets):
-        key = state.ravel() + 1j * target.ravel()
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        run_keys.append(key[starts])
-        run_lengths.append(np.diff(np.r_[starts, key.size]))
-    pairs, run_pair = np.unique(np.concatenate(run_keys), return_inverse=True, equal_nan=False)
-    w, pulses = _settle(pairs.real, pairs.imag, epsilon, prog, p)
-    residuals = (1.0 - p.R_on / _memristance_of_w(w, p)) - pairs.imag
-    exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
-    reports = []
+    # a pair is keyed by the ranks of its start state and its target among
+    # their distinct values, since integer keys sort faster than complex
+    # ones; the runs' own values are dropped before the pair keys are sorted
+    w0, w0_rank = np.unique(np.concatenate(run_w0), return_inverse=True)
+    t, t_rank = np.unique(np.concatenate(run_targets), return_inverse=True)
+    del run_w0, run_targets
+    pairs, run_pair = np.unique(w0_rank * len(t) + t_rank, return_inverse=True)
+    w0, t = w0[pairs // len(t)], t[pairs % len(t)]
+    w, pulses = _settle(w0, t, epsilon, prog, p)
+    residuals = np.abs((1.0 - p.R_on / _memristance_of_w(w, p)) - t)
+    exhausted = (residuals > epsilon) & (pulses >= prog.budget_per_cell)
+    reports = [[None] * len(states) for _ in range(len(states[0]))]
     stop = 0
-    for state, lengths in zip(arrays, run_lengths):
+    for (j, a0, a1), lengths, firsts in zip(slabs, run_lengths, run_firsts):
         runs = run_pair[stop:stop + lengths.size]
         stop += lengths.size
+        state = states[j][a0:a1]
         state[...] = np.repeat(w[runs], lengths).reshape(state.shape)
-        reports.append(ProgrammingReport(int(pulses[runs] @ lengths), float(np.abs(residuals[runs]).max()),
-                                         np.repeat(exhausted[runs], lengths).reshape(state.shape),
-                                         int(pulses[runs].max())))
-    n = len(states)
-    return [reports[k:k + n] for k in range(0, len(reports), n)]
+        masks = np.repeat(exhausted[runs], lengths).reshape(state.shape)
+        run_pulses = pulses[runs]
+        for a, total, worst, mask, iterations in zip(
+                range(a0, a1), np.add.reduceat(run_pulses * lengths, firsts).tolist(),
+                np.maximum.reduceat(residuals[runs], firsts).tolist(), masks,
+                np.maximum.reduceat(run_pulses, firsts).tolist()):
+            reports[a][j] = ProgrammingReport(total, worst, mask, iterations)
+    return reports
 
 
 def program_plane(
@@ -311,7 +341,8 @@ def program_plane(
 
     Each cell's hardware target is its software degree scaled by the
     attenuation factor; cells are driven until within ``epsilon`` of it or
-    out of pulse budget.
+    out of pulse budget.  A degree outside [0, 1], NaN and +-inf included,
+    raises ValueError.
     """
     p = array.params
     if array.w.shape != (target.output_spec.levels, target.input_spec.levels):
@@ -319,10 +350,14 @@ def program_plane(
             f"array {array.w.shape[0]}x{array.w.shape[1]} cannot hold plane "
             f"{target.output_spec.levels}x{target.input_spec.levels}"
         )
+    outside = ~((target.grid >= 0.0) & (target.grid <= 1.0))
+    if outside.any():
+        raise ValueError(f"plane degrees must lie in [0, 1], got {target.grid[outside][0]}")
     _check_programming(epsilon, prog, p)
     array.set_mode("program")
     try:
-        return _program_stacks([array.w[None]], [target.grid.T * attenuation(p)], epsilon, prog, p)[0][0]
+        grid = target.grid.T * attenuation(p)
+        return _program_stacks([array.w[None]], lambda j, a0, a1: grid[None], epsilon, prog, p)[0][0]
     finally:
         array.set_mode("read")
 
@@ -428,22 +463,23 @@ def program_from_model(
 
     Every array starts fresh, at R_on, and all of them go through one run
     of the write controller, which settles each distinct (start state,
-    target) pair once; each array still gets its own report.  A group's
-    targets are derived from its own stains when its arrays are keyed, so
-    no stack of the model's planes is held.  Reads need 0 < v_read < V_th:
-    at a negative bias a fresh cell would outread every programmed one.
-    The min stage adds the diode drop and the max stage takes it off, so a
-    drop beyond [0, V_th] would only round away the read voltages.
+    target) pair once; each array still gets its own report.  The targets
+    of a slab of groups are derived from their stains (``Model.planes``)
+    when the slab is keyed, so no stack of the model's planes is held.
+    Reads need 0 < v_read < V_th: at a negative bias a fresh cell would
+    outread every programmed one.  The min stage adds the diode drop and
+    the max stage takes it off, so a drop beyond [0, V_th] would only
+    round away the read voltages.
     """
     _check_programming(epsilon, prog, params)
     if not 0 < v_read < params.V_th:
         raise ValueError(f"v_read = {v_read} must lie in (0, V_th = {params.V_th})")
     if not 0 <= diode_drop <= params.V_th:
         raise ValueError(f"diode_drop = {diode_drop} must lie in [0, V_th = {params.V_th}]")
-    n_g, n_in, att = len(model.groups), model.n_inputs, attenuation(params)
+    n_g, att = len(model.groups), attenuation(params)
     states = [np.full((n_g, model.output_spec.levels, spec.levels), params.D) for spec in model.input_specs]
-    targets = (model.plane(g, j).grid.T * att for g in range(n_g) for j in range(n_in))
-    reports = _program_stacks(states, targets, epsilon, prog, params)
+    reports = _program_stacks(states, lambda j, g0, g1: model.planes(j, g0, g1).transpose(0, 2, 1) * att,
+                              epsilon, prog, params)
     return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop, reports)
 
 

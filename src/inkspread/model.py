@@ -9,8 +9,10 @@ stains as append-only columns: input levels (S, J), output levels (S,) and
 one offset per group.  Next to them it holds the query-free half of the
 inference kernel, its plan, built once with the model and extended as
 groups are appended, so no query rebuilds it.  ``Model.groups`` reads the
-columns back as ``IdsGroup`` snapshots; ``Model.plane`` and
-``Model.input_stacks`` derive planes on demand with ``diffuse``.
+columns back as ``IdsGroup`` snapshots; ``Model.planes`` derives the
+planes of a range of groups on demand, ``Model.plane`` and
+``Model.input_stacks`` read from it, and ``diffuse`` writes the same tent
+block onto one plane.
 
 Two training policies are provided: ``train_full`` allocates one group per
 sample, and ``train_error_gated`` allocates a group only when the current
@@ -57,10 +59,6 @@ class IdsPlane:
         expected = (self.input_spec.levels, self.output_spec.levels)
         if self.grid.shape != expected:
             raise ValueError(f"grid shape {self.grid.shape} does not match specs {expected}")
-
-
-def empty_plane(input_spec: QuantizationSpec, output_spec: QuantizationSpec) -> IdsPlane:
-    return IdsPlane(input_spec, output_spec, np.zeros((input_spec.levels, output_spec.levels)))
 
 
 @dataclass(slots=True)
@@ -234,39 +232,87 @@ class Model:
         g = range(len(self._offsets) - 1)[g]
         return self._offsets[g], self._offsets[g + 1]
 
+    def planes(self, j: int, g0: int = 0, g1: int | None = None) -> np.ndarray:
+        """Plane ``j`` (0-based) of groups ``g0:g1``, shaped (groups, input
+        levels, output levels), derived from the groups' stains.
+
+        Stain levels are integers, so every stain is the block ``_tent``
+        gives, shifted to its centre.  Rank by rank (the k-th stain of every
+        group that has one) the blocks are maxed into the planes with one
+        fancy-indexed write, and no two stains of one rank share a plane.
+        The planes are held output level by input level, as a crossbar
+        holds them, and returned as a view that transposes them.  Block
+        cells off a plane land in a spare last row and column, which the
+        view leaves out.
+        """
+        n_in, n_out = self._input_specs[j].levels, self._output_spec.levels
+        span = range(len(self._offsets) - 1)[g0:g1]
+        offsets = self._offsets[span.start:span.stop + 1]
+        sizes = np.diff(offsets)
+        block = _tent(self._radii, n_in, n_out).T
+        out = np.zeros((len(sizes), n_out + 1, n_in + 1))
+        for k in range(sizes.max(initial=0)):
+            g = np.flatnonzero(sizes > k)
+            s = offsets[g] + k
+            rows = _spread(self._c_out[s] - 1, block.shape[0] // 2, n_out)
+            cols = _spread(self._c_in[s, j] - 1, block.shape[1] // 2, n_in)
+            at = (g[:, None, None], rows[:, :, None], cols[:, None, :])
+            # every plane is still zero where a group's first stain lands
+            out[at] = block if k == 0 else np.maximum(out[at], block)
+        return out[:, :n_out, :n_in].transpose(0, 2, 1)
+
     def plane(self, g: int, j: int) -> IdsPlane:
-        """Plane ``j`` of group ``g`` (0-based), derived by diffusing the group's stains."""
-        plane = empty_plane(self._input_specs[j], self._output_spec)
-        lo, hi = self._span(g)
-        for c_in, c_out in zip(self._c_in[lo:hi, j].tolist(), self._c_out[lo:hi].tolist()):
-            diffuse(plane, c_in, c_out, self._radii)
-        return plane
+        """Plane ``j`` of group ``g`` (0-based; a negative ``g`` counts from the end)."""
+        g = range(len(self._offsets) - 1)[g]
+        return IdsPlane(self._input_specs[j], self._output_spec, self.planes(j, g, g + 1)[0].copy())
 
     def input_stacks(self) -> list[np.ndarray]:
         """Per input variable, every group's plane stacked as (n_groups, n_in,
         n_out); derived on every call and not kept."""
-        n_g, n_y = len(self.groups), self._output_spec.levels
-        return [np.array([self.plane(g, j).grid for g in range(n_g)]).reshape(n_g, spec.levels, n_y)
-                for j, spec in enumerate(self._input_specs)]
+        return [self.planes(j) for j in range(self.n_inputs)]
+
+
+def _tent(radii: StainRadii, n_in: int, n_out: int) -> np.ndarray:
+    """The pyramid stain on an n_in x n_out plane, as a block over the level
+    offsets d = -h..h from its centre on each axis:
+    ``max(0, min(1 - |d_in| / radius_in, 1 - |d_out| / radius_out))``."""
+    return np.maximum(0.0, np.minimum(_ramp(radii.radius_in, n_in)[:, None],
+                                      _ramp(radii.radius_out, n_out)[None, :]))
+
+
+def _ramp(radius: float, n: int) -> np.ndarray:
+    """``1 - |d| / radius`` for d = -h..h, where h is the radius rounded down
+    and at most n - 1, the farthest a cell of an n-level axis lies from a
+    centre on it."""
+    h = int(min(radius, n - 1))
+    return 1.0 - np.abs(np.arange(-h, h + 1)) / radius
+
+
+def _spread(centers: np.ndarray, h: int, n: int) -> np.ndarray:
+    """The cells -h..h around each 0-based centre on an n-level axis, shaped
+    (centres, 2h + 1); a cell off the axis is the spare cell n."""
+    at = centers[:, None] + np.arange(-h, h + 1)
+    return np.where((at < 0) | (at >= n), n, at)
 
 
 def diffuse(plane: IdsPlane, center_in: int, center_out: int, radii: StainRadii) -> IdsPlane:
     """Write one pyramid stain onto the plane, aggregating by cellwise max.
 
-    Centers are 1-based level indices and must lie on the plane.  Only the
-    stain's support window is touched.  Returns the same plane object.
+    Centers are 1-based level indices and must be levels of the plane.
+    Only the stain's support window is touched, with the block
+    ``Model.planes`` writes.  Returns the same plane object.
     """
     n_in = plane.input_spec.levels
     n_out = plane.output_spec.levels
-    if not (1 <= center_in <= n_in and 1 <= center_out <= n_out):
-        raise ValueError(f"stain center ({center_in}, {center_out}) outside plane {n_in}x{n_out}")
-    i_lo = max(1, int(math.ceil(center_in - radii.radius_in)))
-    i_hi = min(n_in, int(math.floor(center_in + radii.radius_in)))
-    j_lo = max(1, int(math.ceil(center_out - radii.radius_out)))
-    j_hi = min(n_out, int(math.floor(center_out + radii.radius_out)))
-    ramp_in = 1.0 - np.abs(np.arange(i_lo, i_hi + 1) - center_in) / radii.radius_in
-    ramp_out = 1.0 - np.abs(np.arange(j_lo, j_hi + 1) - center_out) / radii.radius_out
-    stain = np.maximum(0.0, np.minimum(ramp_in[:, None], ramp_out[None, :]))
+    if not (1 <= center_in <= n_in and 1 <= center_out <= n_out) or center_in % 1 or center_out % 1:
+        raise ValueError(f"stain center ({center_in}, {center_out}) is not a level of plane {n_in}x{n_out}")
+    center_in, center_out = int(center_in), int(center_out)
+    block = _tent(radii, n_in, n_out)
+    h_in, h_out = block.shape[0] // 2, block.shape[1] // 2
+    i_lo, i_hi = max(1, center_in - h_in), min(n_in, center_in + h_in)
+    j_lo, j_hi = max(1, center_out - h_out), min(n_out, center_out + h_out)
+    stain = block[i_lo - center_in + h_in:i_hi - center_in + h_in + 1,
+                  j_lo - center_out + h_out:j_hi - center_out + h_out + 1]
     window = plane.grid[i_lo - 1 : i_hi, j_lo - 1 : j_hi]
     np.maximum(window, stain, out=window)
     return plane

@@ -5,13 +5,16 @@ samples, never touching trained plane grids.  Arithmetic mirrors the
 production path operation for operation (same divisions, same min/max
 selection, same np.sum accumulation) so agreement can be asserted bitwise.
 
-The crossbar twin has its own references: the write controller run array
-by array over every cell, the analog read cascade run one array and one
-diode stage at a time, and the idealised programming that sets every cell
-straight to its encoded target.
+Planes have their own oracle: each stain's window written one stain at a
+time, by its own arithmetic.  The crossbar twin has its own references:
+the write controller run array by array over every cell, the analog read
+cascade run one array and one diode stage at a time, and the idealised
+programming that sets every cell straight to its encoded target.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -137,6 +140,33 @@ def class_reference(
     return label
 
 
+def empty_plane(input_spec: QuantizationSpec, output_spec: QuantizationSpec) -> IdsPlane:
+    return IdsPlane(input_spec, output_spec, np.zeros((input_spec.levels, output_spec.levels)))
+
+
+def diffuse_reference(plane: IdsPlane, center_in: int, center_out: int, radii: StainRadii) -> IdsPlane:
+    """One stain maxed into its support window, clipped to the plane."""
+    n_in, n_out = plane.input_spec.levels, plane.output_spec.levels
+    i_lo = max(1, int(math.ceil(center_in - radii.radius_in)))
+    i_hi = min(n_in, int(math.floor(center_in + radii.radius_in)))
+    j_lo = max(1, int(math.ceil(center_out - radii.radius_out)))
+    j_hi = min(n_out, int(math.floor(center_out + radii.radius_out)))
+    ramp_in = 1.0 - np.abs(np.arange(i_lo, i_hi + 1) - center_in) / radii.radius_in
+    ramp_out = 1.0 - np.abs(np.arange(j_lo, j_hi + 1) - center_out) / radii.radius_out
+    stain = np.maximum(0.0, np.minimum(ramp_in[:, None], ramp_out[None, :]))
+    window = plane.grid[i_lo - 1:i_hi, j_lo - 1:j_hi]
+    np.maximum(window, stain, out=window)
+    return plane
+
+
+def plane_reference(model: Model, g: int, j: int) -> IdsPlane:
+    """Plane ``j`` of group ``g``: the group's stains diffused one at a time."""
+    plane = empty_plane(model.input_specs[j], model.output_spec)
+    for c_in, c_out in model.groups[g].stains:
+        diffuse_reference(plane, c_in[j], c_out, model.radii)
+    return plane
+
+
 def program_plane_reference(
     array: CrossbarArray,
     target: IdsPlane,
@@ -216,7 +246,7 @@ def program_from_model_reference(
     group_arrays, reports = [], []
     for g in range(len(model.groups)):
         arrays = [CrossbarArray(n_y, spec.levels, params, v_read) for spec in model.input_specs]
-        reports.append([program_plane_reference(arr, model.plane(g, j), epsilon, prog)
+        reports.append([program_plane_reference(arr, plane_reference(model, g, j), epsilon, prog)
                         for j, arr in enumerate(arrays)])
         group_arrays.append(arrays)
     return _hardware(model, group_arrays, params, v_read, diode_drop, reports)
@@ -234,7 +264,7 @@ def program_from_model_exact(
     for g in range(len(model.groups)):
         arrays = [CrossbarArray(n_y, spec.levels, params, v_read) for spec in model.input_specs]
         for j, arr in enumerate(arrays):
-            program_plane_exact(arr, model.plane(g, j))
+            program_plane_exact(arr, plane_reference(model, g, j))
         group_arrays.append(arrays)
     return _hardware(model, group_arrays, params, v_read, diode_drop, [])
 

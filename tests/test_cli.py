@@ -426,6 +426,15 @@ class TestCompareHw:
                        "--set", f"hw_substeps={MAX_SUBSTEPS}"])
         assert rc == EXIT_OK and capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("setting", ["hw_substeps=2.5", "hw_budget=2.5", "hw_budget=true"])
+    def test_counts_that_are_not_integers_exit_2(self, model_path, tmp_path, capsys, setting):
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(model_path), "--queries", "3", "--out", str(out),
+                       "--set", setting])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_wide_pulses_leave_stderr_empty(self, model_path):
         # the drift of a pulse this wide overflows to inf; the clip to the
         # rails defines the result, and numpy must not warn about it

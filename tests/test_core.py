@@ -13,7 +13,9 @@ from inkspread.core import (
     quantize,
     quantize_many,
 )
-from inkspread.model import diffuse, empty_plane
+from inkspread.model import diffuse
+
+from reference import empty_plane
 
 
 def spec_strategy():

@@ -33,10 +33,11 @@ from inkspread.crossbar import (
 )
 from inkspread.datasets import gen_f2
 from inkspread.inference import infer
-from inkspread.model import IdsPlane, Model, Sample, diffuse, empty_plane, train_full, train_merged
+from inkspread.model import IdsPlane, Model, Sample, diffuse, train_full, train_merged
 
 from reference import (
     crossbar_infer_reference,
+    empty_plane,
     program_from_model_exact,
     program_from_model_reference,
     program_plane_exact,
@@ -106,6 +107,16 @@ class TestDeviceModel:
         for substeps in (0, MAX_SUBSTEPS + 1, 10**9):
             with pytest.raises(ValueError):
                 ProgrammingParams(substeps=substeps)
+
+    @pytest.mark.parametrize("field", ["substeps", "budget_per_cell"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None])
+    def test_counts_that_are_not_integers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProgrammingParams(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        prog = ProgrammingParams(substeps=np.int64(3), budget_per_cell=np.int32(40))
+        assert (prog.substeps, prog.budget_per_cell) == (3, 40)
 
     def test_a_pulse_too_wide_to_drift_in_floats_lands_on_a_rail(self):
         # the drift overflows to inf; the clip puts the cell on the rail
@@ -284,6 +295,23 @@ class TestProgramPlane:
             program_plane(array, stain_plane(), 0.01, ProgrammingParams(v_prog=0.8))
         with pytest.raises(ValueError):
             program_plane(array, stain_plane(), 0.01, ProgrammingParams(v_prog=2.5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5, -0.5])
+    def test_degrees_outside_zero_to_one_rejected(self, value):
+        """One bad cell refuses the whole plane before any pulse."""
+        array = CrossbarArray(OUT6.levels, IN8.levels)
+        plane = stain_plane()
+        plane.grid[2, 1] = value
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            program_plane(array, plane, 0.01)
+        assert np.all(read_column_voltages(array, 1) == 0.0) and np.all(array.w == P.D)
+
+    def test_degrees_at_zero_and_one_program(self):
+        array = CrossbarArray(OUT6.levels, IN8.levels)
+        plane = empty_plane(IN8, OUT6)
+        plane.grid[0, 0] = plane.grid[-1, -1] = 1.0
+        report = program_plane(array, plane, 0.01)
+        assert report.max_abs_residual <= 0.01 and not report.budget_exhausted.any()
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
     def test_bad_epsilon_rejected(self, eps):
@@ -657,12 +685,44 @@ class TestBatchedTwinMatchesReference:
                 b.w = state[a].copy()
                 grid = rng.choice([0.0, 0.3, rng.uniform()], (c, r))
                 planes.append(IdsPlane(QuantizationSpec(0, 1, c), QuantizationSpec(0, 1, r), grid))
-        reports = _program_stacks(states, [plane.grid.T * attenuation(P) for plane in planes], eps, prog, P)
+        reports = _program_stacks(states, lambda j, a0, a1: np.array(
+            [planes[a * len(shapes) + j].grid.T * attenuation(P) for a in range(a0, a1)]), eps, prog, P)
         assert [len(row) for row in reports] == [len(shapes)] * n_arrays
         for a in range(n_arrays):
             for j, (b, state) in enumerate(zip(want[a], states)):
                 assert_same_report(reports[a][j], program_plane_reference(b, planes[a * len(shapes) + j], eps, prog))
                 assert same_bits(state[a], b.w)
+
+    @pytest.mark.parametrize("eps, budget", [(0.01, 10_000), (0.002, 10_000), (0.0, 40)])
+    @pytest.mark.parametrize("cells", [216, 5])
+    def test_slabs_are_bitwise_the_per_array_loop(self, eps, budget, cells):
+        """Seven groups in slabs of three 8x9 arrays and of four 8x6 ones,
+        the last slab of each short, and a bound smaller than one array,
+        which then makes a slab alone."""
+        rng = np.random.default_rng(7)
+        specs = [QuantizationSpec(0.0, 1.0, 9), QuantizationSpec(0.0, 1.0, 6)]
+        out = QuantizationSpec(0.0, 1.0, 8)
+        # seven samples share output level 5, so first fit opens seven
+        # groups, and the first one also takes the seven other levels
+        outputs = [0.5] * 7 + [k / 7 for k in (0, 1, 2, 3, 5, 6, 7)]
+        samples = [Sample(tuple(rng.uniform(0, 1, 2)), y) for y in outputs]
+        model = train_merged(samples, specs, out, StainRadii(2.5, 1.7))
+        assert len(model.groups) == 7
+        prog = ProgrammingParams(budget_per_cell=budget)
+        derive, slabs = Model.planes, []
+
+        def planes(self, j, g0, g1):
+            slabs.append((j, g0, g1))
+            return derive(self, j, g0, g1)
+
+        with patch.object(crossbar, "_PROGRAM_CELLS", cells), patch.object(Model, "planes", planes):
+            got = program_from_model(model, eps, prog=prog)
+        if cells == 216:
+            assert slabs == [(0, 0, 3), (0, 3, 6), (0, 6, 7), (1, 0, 4), (1, 4, 7)]
+        else:
+            assert slabs == [(j, g, g + 1) for j in range(2) for g in range(7)]
+        assert_same_hardware(got, program_from_model_reference(model, eps, prog=prog))
+        assert (budget == 40) == any(r.budget_exhausted.any() for row in got.reports for r in row)
 
     @settings(max_examples=40, deadline=None)
     @given(small_models(), st.booleans(), st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)),
@@ -727,10 +787,11 @@ class TestBatchedTwinMatchesReference:
 
 class TestProgrammingMemory:
     def test_the_peak_stays_near_what_the_twin_holds(self):
-        """Keys are built and outcomes written one array at a time: a
-        whole-model temporary (targets, start states or per-cell pair
-        indices) would lift the peak well past the held states and
-        exhausted masks, the only per-cell arrays a report keeps."""
+        """Targets are derived, keys built and outcomes written one bounded
+        slab of arrays at a time: a whole-model temporary (targets, start
+        states or per-cell pair indices) would lift the peak well past the
+        held states and exhausted masks, the only per-cell arrays a report
+        keeps."""
         ds = gen_f2(50, 123)
         specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
         outs = [s.output for s in ds.samples]

@@ -16,12 +16,13 @@ from inkspread.model import (
     Model,
     Sample,
     diffuse,
-    empty_plane,
     merge_into_group,
     train_error_gated,
     train_full,
     train_merged,
 )
+
+from reference import diffuse_reference, empty_plane, plane_reference
 
 IN9 = QuantizationSpec(1, 9, 9)
 OUT5 = QuantizationSpec(1, 5, 5)
@@ -75,6 +76,16 @@ class TestDiffuse:
             diffuse(fresh_plane(), 0, 3, StainRadii(2, 2))
         with pytest.raises(ValueError):
             diffuse(fresh_plane(), 5, 6, StainRadii(2, 2))
+
+    @pytest.mark.parametrize("center", [(4.5, 2), (4, 2.5), (math.nan, 2), (4, math.inf)])
+    def test_a_center_between_levels_rejected(self, center):
+        with pytest.raises(ValueError, match="is not a level"):
+            diffuse(fresh_plane(), *center, StainRadii(2, 2))
+
+    def test_whole_float_centers_are_levels(self):
+        radii = StainRadii(2.5, 1.5)
+        assert np.array_equal(diffuse(fresh_plane(), 4.0, np.float64(2.0), radii).grid,
+                              diffuse(fresh_plane(), 4, 2, radii).grid)
 
 
 class TestPlaneAndGroupTypes:
@@ -304,3 +315,69 @@ class TestModelAssembly:
                 assert np.array_equal(stacks[j][g_i], plane.grid)
                 assert np.array_equal(model.plane(g_i, j).grid, plane.grid)
         assert Model([], FIX_SPECS, FIX_OUT, model.radii).input_stacks()[1].shape == (0, 19, 2)
+
+
+@st.composite
+def stained_models(draw):
+    """Models straight from stain columns over one to three inputs: groups
+    of zero to four stains (empty and merged groups), stains anywhere on
+    the plane with its edges favoured, and radii from a fraction of a level
+    to wider than the plane."""
+    n_in = draw(st.integers(1, 3))
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(n_in)]
+    out = QuantizationSpec(0.0, 1.0, draw(st.integers(2, 7)))
+    radius = st.floats(0.1, 4.0) | st.integers(1, 12).map(float) | st.floats(8.0, 1e6)
+    radii = StainRadii(draw(radius), draw(radius))
+    c_in, c_out, sizes = [], [], []
+    for _ in range(draw(st.integers(0, 6))):
+        levels = draw(st.lists(st.integers(1, out.levels) | st.sampled_from([1, out.levels]), unique=True,
+                               max_size=4))
+        sizes.append(len(levels))
+        c_out += levels
+        c_in += [[draw(st.sampled_from([1, spec.levels]) | st.integers(1, spec.levels)) for spec in specs]
+                 for _ in levels]
+    return Model.from_columns(np.array(c_in, dtype=np.int64).reshape(len(c_out), n_in), c_out,
+                              np.cumsum([0, *sizes]), specs, out, radii)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+class TestDerivedPlanes:
+    @settings(max_examples=150, deadline=None)
+    @given(stained_models(), st.data())
+    def test_planes_are_bitwise_the_per_stain_oracle(self, model, data):
+        n_g = len(model.groups)
+        for j, spec in enumerate(model.input_specs):
+            want = np.array([plane_reference(model, g, j).grid for g in range(n_g)]).reshape(
+                n_g, spec.levels, model.output_spec.levels)
+            for g in range(n_g):
+                assert same_bits(model.plane(g, j).grid, want[g])
+            assert same_bits(model.input_stacks()[j], want)
+            g0 = data.draw(st.integers(0, n_g))
+            g1 = data.draw(st.integers(g0, n_g))
+            assert same_bits(model.planes(j, g0, g1), want[g0:g1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 9), st.data())
+    def test_diffuse_is_bitwise_the_per_stain_oracle(self, n_in, n_out, data):
+        """Onto a plane that already holds values, the edges and radii wider
+        than the plane included."""
+        radius = st.floats(0.1, 4.0) | st.integers(1, 12).map(float) | st.floats(8.0, 1e6)
+        radii = StainRadii(data.draw(radius), data.draw(radius))
+        grid = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_in * n_out, max_size=n_in * n_out)))
+        got = IdsPlane(QuantizationSpec(0, 1, n_in), QuantizationSpec(0, 1, n_out), grid.reshape(n_in, n_out))
+        want = IdsPlane(got.input_spec, got.output_spec, got.grid.copy())
+        c_in = data.draw(st.sampled_from([1, n_in]) | st.integers(1, n_in))
+        c_out = data.draw(st.sampled_from([1, n_out]) | st.integers(1, n_out))
+        assert diffuse(got, c_in, c_out, radii) is got
+        assert same_bits(got.grid, diffuse_reference(want, c_in, c_out, radii).grid)
+
+    def test_a_plane_of_a_negative_group_counts_from_the_end(self):
+        model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
+        assert same_bits(model.plane(-1, 1).grid, model.plane(len(model.groups) - 1, 1).grid)
+        with pytest.raises(IndexError):
+            model.plane(len(model.groups), 0)
