@@ -8,12 +8,7 @@ memristor-crossbar twin evaluates the same model in the analog domain.
 """
 
 from .core import QuantizationSpec, StainRadii, dequantize, quantize
-from .errors import (
-    DividerUnderflowError,
-    EqualOutputConflict,
-    ModeViolationError,
-    NoCoverageError,
-)
+from .errors import DividerUnderflowError, EqualOutputConflict, NoCoverageError
 from .model import IdsGroup, IdsPlane, Model, Sample, diffuse, merge_into_group, train_error_gated, train_full
 from .inference import FuzzyOutput, defuzzify_wsf, infer, infer_fuzzy, infer_trace
 
@@ -38,7 +33,6 @@ __all__ = [
     "NoCoverageError",
     "EqualOutputConflict",
     "DividerUnderflowError",
-    "ModeViolationError",
 ]
 
 __version__ = "0.1.0"

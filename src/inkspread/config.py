@@ -96,6 +96,22 @@ def _coerce(key: str, raw: str):
     return raw
 
 
+def _parse_item(item: str, where: str) -> tuple[str, object]:
+    """One ``key = value`` item, its value coerced to the key's type; errors
+    start with ``where``.  An unknown key raises KeyError, so a file can
+    collect every one of them."""
+    if "=" not in item:
+        raise ValueError(f"{where}: expected 'key = value', got {item!r}")
+    key, _, raw = item.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if key not in _FIELD_TYPES:
+        raise KeyError(key)
+    try:
+        return key, _coerce(key, raw)
+    except ValueError:
+        raise ValueError(f"{where}: bad value {raw!r} for {key}") from None
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     values: dict = {}
     unknown: list[str] = []
@@ -103,17 +119,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _FIELD_TYPES:
-            unknown.append(f"{key} (line {lineno})")
-            continue
         try:
-            values[key] = _coerce(key, raw)
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: bad value {raw!r} for {key}") from None
+            key, value = _parse_item(stripped, f"{source}:{lineno}")
+        except KeyError as exc:
+            unknown.append(f"{exc.args[0]} (line {lineno})")
+            continue
+        values[key] = value
     if unknown:
         raise ValueError(f"{source}: unknown keys: {', '.join(unknown)}")
     return values
@@ -132,14 +143,13 @@ def load_config(
     values: dict = {}
     if path is not None:
         values.update(parse_config_text(Path(path).read_text(), source=str(path)))
+    # an override is never cut at '#': a path may hold one
     for item in overrides or []:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not key=value")
-        key, _, raw = item.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            key, value = _parse_item(item, f"--set {item!r}")
+        except KeyError as exc:
+            raise ValueError(f"unknown config key {exc.args[0]!r}") from None
+        values[key] = value
     if defaults:
         bad = set(defaults) - set(_FIELD_TYPES)
         if bad:

@@ -5,7 +5,10 @@ cell, rows are output levels, columns are input levels).  Cells are
 programmed closed-loop to a memristance encoding the cell's confidence,
 read out sub-threshold through an inverting op-amp, combined by diode
 min/max networks, and defuzzified by a two-stage op-amp adder feeding an
-analog divider.
+analog divider.  A ``HardwareModel`` holds every crossbar: one state tensor
+per input, with array (g, j), group g's array for input j, at
+``states[j][g]``.  ``program_from_model`` programs them all at once;
+``program_plane`` reprograms and ``read_column_voltages`` reads one.
 
 The device follows the linear-drift model: memristance interpolates between
 R_on (fully doped, w = D) and R_off (undoped, w = 0), and the state moves
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QuantizationSpec, dequantize, quantize_many
-from .errors import DividerUnderflowError, ModeViolationError
+from .errors import DividerUnderflowError
 from .model import IdsPlane, Model
 
 # bounds the cells one step of a batched read converts or gathers: a slab of
@@ -162,37 +165,6 @@ class ProgrammingReport:
     iterations: int
 
 
-class CrossbarArray:
-    """One plane's worth of memristors plus its device and read constants.
-
-    Rows index output levels, columns index input levels (both 1-based in
-    the public API).  ``w`` holds every cell's doped-region length; all
-    cells start at w = D, i.e. R_on, the all-zero-confidence state.
-
-    A mode flag stands in for the learning-path isolation switches: user
-    reads are refused while the write controller owns the array.
-    """
-
-    def __init__(self, rows: int, cols: int, params: DeviceParams = DeviceParams(), v_read: float = 0.5):
-        if rows < 1 or cols < 1:
-            raise ValueError(f"array must be at least 1x1, got {rows}x{cols}")
-        if not 0 < abs(v_read) < params.V_th:
-            raise ValueError(f"|v_read| = {abs(v_read)} must lie in (0, V_th = {params.V_th})")
-        self.params = params
-        self.v_read = v_read
-        self.w = np.full((rows, cols), params.D, dtype=float)
-        self._mode = "read"
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in ("read", "program"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self._mode = mode
-
-    def _require_read(self) -> None:
-        if self._mode != "read":
-            raise ModeViolationError("array is being programmed; reads are isolated")
-
-
 def _read_voltages(w: np.ndarray, params: DeviceParams, v_read: float) -> np.ndarray:
     """Op-amp output voltages of cells with doped lengths ``w``.
 
@@ -205,12 +177,14 @@ def _read_voltages(w: np.ndarray, params: DeviceParams, v_read: float) -> np.nda
     return v_read + v_read * (-(params.R_on / r))
 
 
-def read_column_voltages(array: CrossbarArray, col: int) -> np.ndarray:
-    """Raw op-amp output voltages of every row for one selected column."""
-    array._require_read()
-    if not 1 <= col <= array.w.shape[1]:
-        raise ValueError(f"column {col} outside 1..{array.w.shape[1]}")
-    return _read_voltages(array.w[:, col - 1], array.params, array.v_read)
+def read_column_voltages(hw: HardwareModel, g: int, j: int, col: int) -> np.ndarray:
+    """Raw op-amp output voltages of every row of array (g, j), group g's
+    array for input j, for one selected 1-based column.  ``g`` and ``j``
+    count from 0, a negative one from the end."""
+    state = hw.states[j][range(len(hw.states[j]))[g]]
+    if not 1 <= col <= state.shape[1]:
+        raise ValueError(f"column {col} outside 1..{state.shape[1]}")
+    return _read_voltages(state[:, col - 1], hw.params, hw.v_read)
 
 
 def _check_programming(epsilon: float, prog: ProgrammingParams, p: DeviceParams) -> None:
@@ -332,34 +306,37 @@ def _program_stacks(
 
 
 def program_plane(
-    array: CrossbarArray,
+    hw: HardwareModel,
+    g: int,
+    j: int,
     target: IdsPlane,
     epsilon: float,
     prog: ProgrammingParams = ProgrammingParams(),
 ) -> ProgrammingReport:
-    """Program-and-verify the whole array to mirror a confidence plane.
+    """Reprogram array (g, j) of the twin in place to mirror a confidence
+    plane, starting from the state it holds.
 
-    Each cell's hardware target is its software degree scaled by the
-    attenuation factor; cells are driven until within ``epsilon`` of it or
-    out of pulse budget.  A degree outside [0, 1], NaN and +-inf included,
-    raises ValueError.
+    ``g`` and ``j`` count from 0, a negative one from the end.  Each cell's
+    hardware target is its software degree scaled by the attenuation
+    factor; cells are driven until within ``epsilon`` of it or out of pulse
+    budget.  The report replaces ``hw.reports[g][j]`` and is returned.  A
+    degree outside [0, 1], NaN and +-inf included, raises ValueError.
     """
-    p = array.params
-    if array.w.shape != (target.output_spec.levels, target.input_spec.levels):
+    g = range(len(hw.states[j]))[g]
+    state, p = hw.states[j][g:g + 1], hw.params
+    if state.shape[1:] != (target.output_spec.levels, target.input_spec.levels):
         raise ValueError(
-            f"array {array.w.shape[0]}x{array.w.shape[1]} cannot hold plane "
+            f"array {state.shape[1]}x{state.shape[2]} cannot hold plane "
             f"{target.output_spec.levels}x{target.input_spec.levels}"
         )
     outside = ~((target.grid >= 0.0) & (target.grid <= 1.0))
     if outside.any():
         raise ValueError(f"plane degrees must lie in [0, 1], got {target.grid[outside][0]}")
     _check_programming(epsilon, prog, p)
-    array.set_mode("program")
-    try:
-        grid = target.grid.T * attenuation(p)
-        return _program_stacks([array.w[None]], lambda j, a0, a1: grid[None], epsilon, prog, p)[0][0]
-    finally:
-        array.set_mode("read")
+    grid = target.grid.T * attenuation(p)
+    report = _program_stacks([state], lambda *_: grid[None], epsilon, prog, p)[0][0]
+    hw.reports[g][j] = report
+    return report
 
 
 def _diode_network(voltages, name: str, axis: int | None, reduce):
@@ -389,14 +366,15 @@ def diode_max(voltages, drop: float = 0.7, axis: int | None = None):
     return _diode_network(voltages, "diode_max", axis, np.max) - drop
 
 
-def defuzz_circuit(mu_voltages, n_y: int, R: float = 1000.0, floor: float = 0.0):
+def defuzz_circuit(mu_voltages, n_y: int, floor: float = 0.0):
     """Two-stage adder plus divider: returns the confidence-weighted level index.
 
     Stage 1 is an inverting adder whose feedback resistor n_y*R against
     input resistors (n_y/i)*R realizes gain -i for level i; stage 2 sums
     with unit gain.  The divider output stage1/stage2 equals
     sum(mu_i*i)/sum(mu_i), a fractional level index the caller dequantizes.
-    R cancels algebraically and is kept only as the ladder's unit value.
+    The ladder's unit resistance R cancels algebraically, so no value of it
+    enters the result.
 
     ``mu_voltages`` is one circuit's n_y level voltages, or a (batch, n_y)
     array with one circuit per row.  When |stage2| is at or below
@@ -407,8 +385,6 @@ def defuzz_circuit(mu_voltages, n_y: int, R: float = 1000.0, floor: float = 0.0)
     mu = np.ascontiguousarray(mu_voltages, dtype=float)
     if mu.ndim not in (1, 2) or mu.shape[-1] != n_y:
         raise ValueError(f"expected {n_y} level voltages, got shape {mu.shape}")
-    if R <= 0:
-        raise ValueError("unit resistance must be positive")
     stage1 = -np.sum(mu * np.arange(1, n_y + 1), axis=-1)
     stage2 = -np.sum(mu, axis=-1)
     under = np.abs(stage2) <= floor

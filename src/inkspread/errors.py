@@ -16,11 +16,6 @@ class DividerUnderflowError(Exception):
     is the hardware counterpart of :class:`NoCoverageError`."""
 
 
-class ModeViolationError(Exception):
-    """A crossbar operation was attempted in the wrong mode, e.g. reading
-    while programming pulses are being applied."""
-
-
 class ZeroVarianceError(ValueError):
     """Reference outputs are constant, so fraction-of-variance-unexplained
     is undefined."""

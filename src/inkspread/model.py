@@ -363,11 +363,15 @@ def train_error_gated(
     output within ``tolerance`` (absolute, raw output units).  No coverage at
     the sample's inputs counts as an error.  Group count never exceeds the
     sample count, and equals it when tolerance is negative.  A NaN
-    tolerance would keep no sample the model covers, so it raises ValueError.
+    tolerance would keep no sample the model covers, so it raises
+    ValueError, and so does a NaN output, whose error no tolerance can judge.
     """
     if math.isnan(tolerance):
         raise ValueError("tolerance is NaN")
     _check_samples(samples, input_specs)
+    for k, s in enumerate(samples):
+        if math.isnan(s.output):
+            raise ValueError(f"sample {k} has a NaN output, which has no quantization level")
     model = Model([], input_specs, output_spec, radii)
     for s in samples:
         needs_group = True

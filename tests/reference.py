@@ -20,7 +20,6 @@ import numpy as np
 
 from inkspread.core import QuantizationSpec, StainRadii, dequantize, quantize
 from inkspread.crossbar import (
-    CrossbarArray,
     DeviceParams,
     HardwareModel,
     ProgrammingParams,
@@ -29,7 +28,6 @@ from inkspread.crossbar import (
     _w_of_memristance,
     attenuation,
     defuzz_circuit,
-    read_column_voltages,
 )
 from inkspread.errors import NoCoverageError
 from inkspread.model import IdsPlane, Model, Sample
@@ -168,19 +166,20 @@ def plane_reference(model: Model, g: int, j: int) -> IdsPlane:
 
 
 def program_plane_reference(
-    array: CrossbarArray,
+    w: np.ndarray,
     target: IdsPlane,
     epsilon: float,
     prog: ProgrammingParams = ProgrammingParams(),
+    p: DeviceParams = DeviceParams(),
 ) -> ProgrammingReport:
-    """Program-and-verify one array, every cell stepped in place each iteration."""
-    p = array.params
+    """Program-and-verify one array of doped lengths ``w`` (rows, cols) in
+    place, every cell stepped each iteration."""
     target_c = target.grid.T * attenuation(p)
-    r2 = _memristance_of_w(array.w, p) ** 2
-    width = np.full(array.w.shape, prog.base_width)
-    prev_sign = np.zeros(array.w.shape)
-    growing = np.ones(array.w.shape, dtype=bool)
-    pulses = np.zeros(array.w.shape, dtype=np.int64)
+    r2 = _memristance_of_w(w, p) ** 2
+    width = np.full(w.shape, prog.base_width)
+    prev_sign = np.zeros(w.shape)
+    growing = np.ones(w.shape, dtype=bool)
+    pulses = np.zeros(w.shape, dtype=np.int64)
     iterations = 0
     while True:
         degree = 1.0 - p.R_on / np.sqrt(r2)
@@ -204,33 +203,28 @@ def program_plane_reference(
         for _ in range(prog.substeps):
             r2 = np.where(active, np.clip(r2 - step, lo, hi), r2)
         pulses[active] += 1
-    array.w = np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D)
-    residuals = (1.0 - p.R_on / _memristance_of_w(array.w, p)) - target_c
+    w[...] = np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D)
+    residuals = (1.0 - p.R_on / _memristance_of_w(w, p)) - target_c
     exhausted = (np.abs(residuals) > epsilon) & (pulses >= prog.budget_per_cell)
     return ProgrammingReport(int(pulses.sum()), float(np.abs(residuals).max()), exhausted, iterations)
 
 
-def program_plane_exact(array: CrossbarArray, target: IdsPlane) -> None:
-    """Set cell states directly to the encoded targets (the epsilon -> 0 limit).
+def program_plane_exact(w: np.ndarray, target: IdsPlane, p: DeviceParams = DeviceParams()) -> None:
+    """Set the doped lengths ``w`` (rows, cols) of one array in place straight
+    to the encoded targets (the epsilon -> 0 limit).
 
     A measurement-free idealization: it checks that the attenuated hardware
     path agrees with the ideal pipeline once programming error is out of
     the picture.
     """
-    p = array.params
     r = p.R_on / (1.0 - target.grid.T * attenuation(p))
-    array.w = np.clip(_w_of_memristance(r, p), 0.0, p.D)
+    w[...] = np.clip(_w_of_memristance(r, p), 0.0, p.D)
 
 
-def _hardware(model: Model, group_arrays, params: DeviceParams, v_read: float, diode_drop: float,
-              reports) -> HardwareModel:
-    """The twin holding the states of ``group_arrays[g][j]``, packed into one
-    (groups, rows, cols) stack per input."""
-    n_y = model.output_spec.levels
-    states = [np.array([arrays[j].w for arrays in group_arrays]).reshape(len(group_arrays), n_y, spec.levels)
-              for j, spec in enumerate(model.input_specs)]
-    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop,
-                         reports)
+def _fresh_states(model: Model, params: DeviceParams) -> list[np.ndarray]:
+    """One (groups, rows, cols) stack of fresh arrays, at R_on, per input."""
+    return [np.full((len(model.groups), model.output_spec.levels, spec.levels), params.D)
+            for spec in model.input_specs]
 
 
 def program_from_model_reference(
@@ -242,14 +236,11 @@ def program_from_model_reference(
     diode_drop: float = 0.7,
 ) -> HardwareModel:
     """One fresh array per plane, each programmed on its own."""
-    n_y = model.output_spec.levels
-    group_arrays, reports = [], []
-    for g in range(len(model.groups)):
-        arrays = [CrossbarArray(n_y, spec.levels, params, v_read) for spec in model.input_specs]
-        reports.append([program_plane_reference(arr, plane_reference(model, g, j), epsilon, prog)
-                        for j, arr in enumerate(arrays)])
-        group_arrays.append(arrays)
-    return _hardware(model, group_arrays, params, v_read, diode_drop, reports)
+    states = _fresh_states(model, params)
+    reports = [[program_plane_reference(state[g], plane_reference(model, g, j), epsilon, prog, params)
+                for j, state in enumerate(states)] for g in range(len(model.groups))]
+    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop,
+                         reports)
 
 
 def program_from_model_exact(
@@ -259,19 +250,16 @@ def program_from_model_exact(
     diode_drop: float = 0.7,
 ) -> HardwareModel:
     """One array per plane, each set exactly to its encoded targets; no reports."""
-    n_y = model.output_spec.levels
-    group_arrays = []
+    states = _fresh_states(model, params)
     for g in range(len(model.groups)):
-        arrays = [CrossbarArray(n_y, spec.levels, params, v_read) for spec in model.input_specs]
-        for j, arr in enumerate(arrays):
-            program_plane_exact(arr, plane_reference(model, g, j))
-        group_arrays.append(arrays)
-    return _hardware(model, group_arrays, params, v_read, diode_drop, [])
+        for j, state in enumerate(states):
+            program_plane_exact(state[g], plane_reference(model, g, j), params)
+    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop, [])
 
 
 def crossbar_infer_reference(hw: HardwareModel, x) -> float:
-    """Analog inference read one column of one array at a time: each
-    group's array for input j is rebuilt from its slice of ``hw.states[j]``."""
+    """Analog inference read one column of one array at a time, each cell
+    through the op-amp read law v_read + v_read*(-R_on/R_m)."""
     cols = [quantize(spec, float(xi)) for spec, xi in zip(hw.input_specs, x)]
     n_y = hw.output_spec.levels
     level_mu = np.zeros(n_y)
@@ -281,9 +269,8 @@ def crossbar_infer_reference(hw: HardwareModel, x) -> float:
         for g in range(n_g):
             plane_vs = []
             for j, state in enumerate(hw.states):
-                arr = CrossbarArray(*state[g].shape, hw.params, hw.v_read)
-                arr.w = state[g]
-                plane_vs.append(read_column_voltages(arr, cols[j]))
+                r = _memristance_of_w(state[g][:, cols[j] - 1], hw.params)
+                plane_vs.append(hw.v_read + hw.v_read * (-(hw.params.R_on / r)))
             group_mins.append(np.minimum.reduce(plane_vs) + hw.diode_drop)
         level_mu = np.maximum.reduce(group_mins) - hw.diode_drop
     level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)

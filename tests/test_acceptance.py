@@ -26,7 +26,6 @@ from inkspread.benchmarks import (
 )
 from inkspread.core import QuantizationSpec, StainRadii, quantize
 from inkspread.crossbar import (
-    CrossbarArray,
     DeviceParams,
     _memristance_of_w,
     _pulse_r_squared,
@@ -40,7 +39,7 @@ from inkspread.crossbar import (
 from inkspread.datasets import gen_circles, gen_f2
 from inkspread.errors import NoCoverageError
 from inkspread.inference import FuzzyOutput, defuzzify_wsf, infer, infer_fuzzy
-from inkspread.model import Sample, train_full, train_merged
+from inkspread.model import IdsGroup, Model, Sample, train_full, train_merged
 
 from reference import class_reference, crisp_reference
 
@@ -277,8 +276,10 @@ def test_device_model(capsys):
     w = pulse(w, -1.5, 2e-4, substeps=100)
     checks.append(("pulse reversibility", moved and abs(w - w0) <= 1e-9 * p.D))
 
-    arr = CrossbarArray(1, 1, p)
-    checks.append(("zero read at R_on", read_column_voltages(arr, 1)[0] == 0.0))
+    # a fresh array, at R_on: the twin of a model whose one group is empty
+    unit = QuantizationSpec(0.0, 1.0, 2)
+    fresh = program_from_model(Model([IdsGroup()], [unit], unit, StainRadii(1.0, 1.0)), params=p)
+    checks.append(("zero read at R_on", (read_column_voltages(fresh, 0, 0, 1) == 0.0).all()))
 
     ok = all(flag for _, flag in checks)
     _verdict(capsys, "device-model", ok,

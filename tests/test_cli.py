@@ -122,6 +122,15 @@ class TestTrain:
         assert rc == EXIT_INPUT
         assert "not numeric" in capsys.readouterr().err
 
+    def test_a_bad_override_value_names_its_key(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.ids"
+        rc = cli.main(["train", "--config", str(workdir / "run.conf"), "--set", "seed=abc", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "seed" in err and "'abc'" in err
+        assert not out.exists()
+
     def test_unknown_override_key_rejected(self, workdir, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(workdir / "run.conf"),
                        "--set", "nonsense=1", "--out", str(tmp_path / "m.ids")])

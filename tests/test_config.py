@@ -100,6 +100,14 @@ class TestLoadConfig:
         with pytest.raises(ValueError):
             load_config(None, ["policy"])
 
+    def test_a_bad_override_value_names_its_key(self):
+        with pytest.raises(ValueError, match="bad value 'abc' for seed"):
+            load_config(None, ["seed=abc"])
+
+    def test_an_override_keeps_a_hash(self):
+        # a path may hold '#', so an override has no comment
+        assert load_config(None, ["dataset_path=runs/#3.csv"]).dataset_path == "runs/#3.csv"
+
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ValueError, match="shoe_size"):
             load_config(None, ["shoe_size=44"])

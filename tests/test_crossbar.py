@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from inkspread import crossbar
 from inkspread.core import QuantizationSpec, StainRadii
-from inkspread.errors import DividerUnderflowError, ModeViolationError, NoCoverageError
+from inkspread.errors import DividerUnderflowError, NoCoverageError
 from inkspread.crossbar import (
     MAX_SUBSTEPS,
-    CrossbarArray,
     DeviceParams,
     ProgrammingParams,
     _memristance_of_w,
@@ -33,7 +32,7 @@ from inkspread.crossbar import (
 )
 from inkspread.datasets import gen_f2
 from inkspread.inference import infer
-from inkspread.model import IdsPlane, Model, Sample, diffuse, train_full, train_merged
+from inkspread.model import IdsGroup, IdsPlane, Model, Sample, diffuse, train_full, train_merged
 
 from reference import (
     crossbar_infer_reference,
@@ -54,9 +53,17 @@ def pulse(w, v, dt, substeps=10):
     return np.clip(_w_of_memristance(np.sqrt(r2), P), 0.0, P.D)
 
 
-def degrees(array, col):
-    """The degrees one column of ``array`` reads, v_out / v_read."""
-    return read_column_voltages(array, col) / array.v_read
+def fresh_twin(rows, cols, groups=1, v_read=0.5):
+    """A twin of ``groups`` fresh rows x cols arrays for one input, every
+    cell at R_on: the twin of a model whose groups are all empty."""
+    model = Model([IdsGroup() for _ in range(groups)], [QuantizationSpec(0.0, 1.0, cols)],
+                  QuantizationSpec(0.0, 1.0, rows), StainRadii(1.0, 1.0))
+    return program_from_model(model, 0.01, v_read=v_read)
+
+
+def degrees(hw, col):
+    """The degrees one column of array (0, 0) reads, v_out / v_read."""
+    return read_column_voltages(hw, 0, 0, col) / hw.v_read
 
 
 class TestDeviceModel:
@@ -132,15 +139,15 @@ class TestApplyPulse:
 
     def test_sub_threshold_is_bit_identical(self):
         # the only sub-threshold drive a cell sees outside a write is the
-        # read voltage, |v_read| < V_th, and no read moves any cell
+        # read voltage, 0 < v_read < V_th, and no read moves any cell
         rng = np.random.default_rng(4)
-        for v_read in (0.5, -0.99, 0.999, 1e-3):
-            array = CrossbarArray(3, 5, P, v_read=v_read)
-            array.w = rng.uniform(0.0, P.D, size=(3, 5))
-            before = array.w.copy()
+        for v_read in (0.5, 0.999, 1e-3):
+            hw = fresh_twin(3, 5, v_read=v_read)
+            hw.states[0][0] = rng.uniform(0.0, P.D, size=(3, 5))
+            before = hw.states[0].copy()
             for col in range(1, 6):
-                read_column_voltages(array, col)
-            assert array.w.tobytes() == before.tobytes()
+                read_column_voltages(hw, 0, 0, col)
+            assert hw.states[0].tobytes() == before.tobytes()
 
     def test_positive_pulse_lowers_memristance(self):
         w = 0.5 * P.D
@@ -178,54 +185,44 @@ class TestEncodingAndReadout:
     def exact(self, *degree_pairs):
         """A 2x2 array programmed exactly to a plane of the given degrees."""
         plane = IdsPlane(self.UNIT, self.UNIT, np.array(degree_pairs, dtype=float))
-        array = CrossbarArray(2, 2)
-        program_plane_exact(array, plane)
-        return array
+        hw = fresh_twin(2, 2)
+        program_plane_exact(hw.states[0][0], plane)
+        return hw
 
     def test_attenuation_at_defaults(self):
         assert attenuation(P) == pytest.approx(0.99)
 
     def test_degree_encoding_endpoints(self):
-        r = _memristance_of_w(self.exact((0.0, 1.0), (1.0, 0.0)).w, P)
+        r = _memristance_of_w(self.exact((0.0, 1.0), (1.0, 0.0)).states[0][0], P)
         assert r[0, 0] == r[1, 1] == P.R_on
         assert r[0, 1] == pytest.approx(P.R_off) and r[1, 0] == pytest.approx(P.R_off)
 
     def test_fresh_cell_reads_exactly_zero(self):
-        array = CrossbarArray(4, 4)
-        assert degrees(array, 2)[2] == 0.0
-        assert (read_column_voltages(array, 3) == 0.0).all()
+        hw = fresh_twin(4, 4)
+        assert degrees(hw, 2)[2] == 0.0
+        assert (read_column_voltages(hw, 0, 0, 3) == 0.0).all()
 
     def test_read_at_r_off(self):
-        array = CrossbarArray(1, 1)
-        array.w[0, 0] = 0.0
-        assert degrees(array, 1)[0] == pytest.approx(0.99)
+        hw = fresh_twin(2, 2)
+        hw.states[0][0, 0, 0] = 0.0
+        assert degrees(hw, 1)[0] == pytest.approx(0.99)
 
     def test_read_at_twice_r_on(self):
-        array = CrossbarArray(1, 1)
-        array.w[0, 0] = (P.R_off - 2 * P.R_on) / (P.R_off - P.R_on) * P.D
-        assert degrees(array, 1)[0] == pytest.approx(0.5)
+        hw = fresh_twin(2, 2)
+        hw.states[0][0, 0, 0] = (P.R_off - 2 * P.R_on) / (P.R_off - P.R_on) * P.D
+        assert degrees(hw, 1)[0] == pytest.approx(0.5)
 
     def test_encode_then_read_recovers_attenuated_degree(self):
         for s in (0.1, 0.5, 0.93):
-            array = self.exact((s, 0.0), (0.0, s))
-            assert degrees(array, 1)[0] == pytest.approx(s * attenuation(P))
-            assert degrees(array, 2)[1] == pytest.approx(s * attenuation(P))
-
-    def test_read_voltage_must_stay_below_threshold(self):
-        with pytest.raises(ValueError):
-            CrossbarArray(2, 2, v_read=1.5)
-
-    def test_reads_refused_while_programming(self):
-        array = CrossbarArray(2, 2)
-        array.set_mode("program")
-        with pytest.raises(ModeViolationError):
-            read_column_voltages(array, 1)
+            hw = self.exact((s, 0.0), (0.0, s))
+            assert degrees(hw, 1)[0] == pytest.approx(s * attenuation(P))
+            assert degrees(hw, 2)[1] == pytest.approx(s * attenuation(P))
 
     @pytest.mark.parametrize("col", [0, -1, 4])
     def test_columns_outside_one_to_cols_rejected(self, col):
         # 0 and -1 would wrap around to the last columns
         with pytest.raises(ValueError, match="column"):
-            read_column_voltages(CrossbarArray(2, 3), col)
+            read_column_voltages(fresh_twin(2, 3), 0, 0, col)
 
     def test_reads_leave_every_array_bitwise_unchanged(self, worked_model):
         hw = program_from_model(worked_model, epsilon=0.01)
@@ -235,7 +232,7 @@ class TestEncodingAndReadout:
         crossbar_infer(hw, queries)
         crossbar_infer(hw, queries[:1])
         assert all(same_bits(state, w) for state, w in zip(hw.states, before))
-        assert (read_column_voltages(CrossbarArray(3, 2), 2) == 0.0).all()
+        assert (read_column_voltages(fresh_twin(3, 2), 0, 0, 2) == 0.0).all()
 
 
 IN8 = QuantizationSpec(0, 7, 8)
@@ -250,21 +247,21 @@ def stain_plane():
 
 class TestProgramPlane:
     def test_zero_target_needs_zero_pulses(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
-        report = program_plane(array, empty_plane(IN8, OUT6), 0.01)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
+        report = program_plane(hw, 0, 0, empty_plane(IN8, OUT6), 0.01)
         assert report.total_pulses == 0
-        assert np.all(array.w == P.D)
+        assert np.all(hw.states[0] == P.D)
 
     def test_stain_target_converges_within_epsilon(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
-        report = program_plane(array, stain_plane(), 0.01)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
+        report = program_plane(hw, 0, 0, stain_plane(), 0.01)
         assert not report.budget_exhausted.any()
         assert report.max_abs_residual <= 0.01
 
     def test_reprogramming_converged_plane_is_free(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
-        program_plane(array, stain_plane(), 0.01)
-        again = program_plane(array, stain_plane(), 0.01)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
+        program_plane(hw, 0, 0, stain_plane(), 0.01)
+        again = program_plane(hw, 0, 0, stain_plane(), 0.01)
         assert again.total_pulses == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -272,61 +269,88 @@ class TestProgramPlane:
         rng = np.random.default_rng(seed)
         plane = empty_plane(IN8, OUT6)
         plane.grid[:] = rng.uniform(0, 1, plane.grid.shape)
-        array = CrossbarArray(OUT6.levels, IN8.levels)
-        report = program_plane(array, plane, 0.005)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
+        report = program_plane(hw, 0, 0, plane, 0.005)
         assert not report.budget_exhausted.any()
         assert report.max_abs_residual <= 0.005
 
     def test_budget_exhaustion_is_reported_not_fatal(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
         prog = ProgrammingParams(budget_per_cell=1)
-        report = program_plane(array, stain_plane(), 1e-4, prog)
+        report = program_plane(hw, 0, 0, stain_plane(), 1e-4, prog)
         assert report.budget_exhausted.any()
-        read_column_voltages(array, 1)  # the write controller let go of the array
+        read_column_voltages(hw, 0, 0, 1)
+
+    def test_the_report_replaces_the_arrays_own(self):
+        """Only array (g, j)'s report changes, and worst_residual follows it."""
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=3)
+        before = [row[:] for row in hw.reports]
+        report = program_plane(hw, 1, 0, stain_plane(), 0.05)
+        assert hw.reports[1][0] is report
+        assert hw.reports[0][0] is before[0][0] and hw.reports[2][0] is before[2][0]
+        assert hw.worst_residual == report.max_abs_residual > 0.0
+        again = program_plane(hw, 1, 0, empty_plane(IN8, OUT6), 0.01)
+        assert hw.reports[1][0] is again and hw.worst_residual == again.max_abs_residual
+
+    def test_a_negative_index_counts_from_the_end(self):
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=3)
+        report = program_plane(hw, -2, -1, stain_plane(), 0.01)
+        assert hw.reports[1][0] is report
+        assert np.all(hw.states[0][[0, 2]] == P.D) and not np.all(hw.states[0][1] == P.D)
+        assert same_bits(read_column_voltages(hw, -2, -1, 5), read_column_voltages(hw, 1, 0, 5))
+
+    @pytest.mark.parametrize("g, j", [(3, 0), (-4, 0), (0, 1), (0, -2)])
+    def test_an_array_outside_the_twin_rejected(self, g, j):
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=3)
+        with pytest.raises(IndexError):
+            program_plane(hw, g, j, stain_plane(), 0.01)
+        with pytest.raises(IndexError):
+            read_column_voltages(hw, g, j, 1)
+        assert np.all(hw.states[0] == P.D)
 
     def test_dimension_mismatch_rejected(self):
-        array = CrossbarArray(3, 3)
+        hw = fresh_twin(3, 3)
         with pytest.raises(ValueError):
-            program_plane(array, stain_plane(), 0.01)
+            program_plane(hw, 0, 0, stain_plane(), 0.01)
 
     def test_programming_voltage_window_enforced(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
         with pytest.raises(ValueError):
-            program_plane(array, stain_plane(), 0.01, ProgrammingParams(v_prog=0.8))
+            program_plane(hw, 0, 0, stain_plane(), 0.01, ProgrammingParams(v_prog=0.8))
         with pytest.raises(ValueError):
-            program_plane(array, stain_plane(), 0.01, ProgrammingParams(v_prog=2.5))
+            program_plane(hw, 0, 0, stain_plane(), 0.01, ProgrammingParams(v_prog=2.5))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.5, -0.5])
     def test_degrees_outside_zero_to_one_rejected(self, value):
         """One bad cell refuses the whole plane before any pulse."""
-        array = CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
         plane = stain_plane()
         plane.grid[2, 1] = value
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            program_plane(array, plane, 0.01)
-        assert np.all(read_column_voltages(array, 1) == 0.0) and np.all(array.w == P.D)
+            program_plane(hw, 0, 0, plane, 0.01)
+        assert np.all(read_column_voltages(hw, 0, 0, 1) == 0.0) and np.all(hw.states[0] == P.D)
 
     def test_degrees_at_zero_and_one_program(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
         plane = empty_plane(IN8, OUT6)
         plane.grid[0, 0] = plane.grid[-1, -1] = 1.0
-        report = program_plane(array, plane, 0.01)
+        report = program_plane(hw, 0, 0, plane, 0.01)
         assert report.max_abs_residual <= 0.01 and not report.budget_exhausted.any()
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
     def test_bad_epsilon_rejected(self, eps):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
         with pytest.raises(ValueError):
-            program_plane(array, stain_plane(), eps)
-        assert np.all(read_column_voltages(array, 1) == 0.0) and np.all(array.w == P.D)
+            program_plane(hw, 0, 0, stain_plane(), eps)
+        assert np.all(read_column_voltages(hw, 0, 0, 1) == 0.0) and np.all(hw.states[0] == P.D)
 
     def test_exact_programming_reads_back_attenuated_grid(self):
-        array = CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels)
         plane = stain_plane()
-        program_plane_exact(array, plane)
+        program_plane_exact(hw.states[0][0], plane)
         att = attenuation(P)
         for col in range(1, IN8.levels + 1):
-            assert degrees(array, col) == pytest.approx(plane.grid[col - 1] * att, abs=1e-12)
+            assert degrees(hw, col) == pytest.approx(plane.grid[col - 1] * att, abs=1e-12)
 
 
 class TestDiodeStages:
@@ -659,15 +683,20 @@ class TestBatchedTwinMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 0.05), controllers())
     def test_program_plane_twice_is_bitwise_the_per_array_loop(self, seed, eps, prog):
-        """The second write starts from the states the first one left."""
+        """The second write starts from the states the first one left, and
+        the twin's other arrays keep theirs."""
         rng = np.random.default_rng(seed)
-        got, want = CrossbarArray(OUT6.levels, IN8.levels), CrossbarArray(OUT6.levels, IN8.levels)
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=3)
+        g = int(rng.integers(-3, 3))
+        want = np.full((OUT6.levels, IN8.levels), P.D)
         for _ in range(2):
             grid = rng.uniform(0, 1, (IN8.levels, OUT6.levels)) * (rng.uniform(size=(IN8.levels, 1)) < 0.5)
             plane = IdsPlane(IN8, OUT6, grid)
-            assert_same_report(program_plane(got, plane, eps, prog),
+            assert_same_report(program_plane(hw, g, 0, plane, eps, prog),
                                program_plane_reference(want, plane, eps, prog))
-            assert same_bits(got.w, want.w)
+            assert same_bits(hw.states[0][g], want)
+        others = np.arange(3) != range(3)[g]
+        assert np.all(hw.states[0][others] == P.D)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 0.05), controllers())
@@ -678,20 +707,19 @@ class TestBatchedTwinMatchesReference:
         n_arrays = rng.integers(1, 4)
         shapes = [tuple(rng.integers(2, 7, 2)) for _ in range(rng.integers(1, 4))]
         states = [rng.choice([0.0, 0.5, 1.0], (n_arrays, *shape)) * P.D for shape in shapes]
-        want = [[CrossbarArray(*shape) for shape in shapes] for _ in range(n_arrays)]
+        want = [state.copy() for state in states]
         planes = []
         for a in range(n_arrays):
-            for b, state, (r, c) in zip(want[a], states, shapes):
-                b.w = state[a].copy()
+            for r, c in shapes:
                 grid = rng.choice([0.0, 0.3, rng.uniform()], (c, r))
                 planes.append(IdsPlane(QuantizationSpec(0, 1, c), QuantizationSpec(0, 1, r), grid))
         reports = _program_stacks(states, lambda j, a0, a1: np.array(
             [planes[a * len(shapes) + j].grid.T * attenuation(P) for a in range(a0, a1)]), eps, prog, P)
         assert [len(row) for row in reports] == [len(shapes)] * n_arrays
         for a in range(n_arrays):
-            for j, (b, state) in enumerate(zip(want[a], states)):
-                assert_same_report(reports[a][j], program_plane_reference(b, planes[a * len(shapes) + j], eps, prog))
-                assert same_bits(state[a], b.w)
+            for j, (state, w) in enumerate(zip(states, want)):
+                assert_same_report(reports[a][j], program_plane_reference(w[a], planes[a * len(shapes) + j], eps, prog))
+                assert same_bits(state[a], w[a])
 
     @pytest.mark.parametrize("eps, budget", [(0.01, 10_000), (0.002, 10_000), (0.0, 40)])
     @pytest.mark.parametrize("cells", [216, 5])

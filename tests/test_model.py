@@ -217,6 +217,18 @@ class TestTrainErrorGated:
         with pytest.raises(ValueError, match="NaN"):
             train_error_gated(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5), float("nan"))
 
+    @pytest.mark.parametrize("policy", ["full", "error-gated", "merged"])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_a_nan_output_rejected_in_any_position(self, policy, position):
+        # |prediction - NaN| > tolerance is false, so the gate would skip it
+        unit = QuantizationSpec(0, 1, 8)
+        samples = [Sample((0.5,), 0.5), Sample((0.9,), 0.1), Sample((0.2,), 0.7)]
+        samples.insert(position, Sample((0.5,), math.nan))
+        train = {"full": train_full, "merged": train_merged,
+                 "error-gated": lambda *a: train_error_gated(*a, 0.1)}[policy]
+        with pytest.raises(ValueError, match="NaN"):
+            train(samples, [unit], unit, StainRadii(2, 2))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_higher_tolerance_never_stores_more(self, seed):
         rng = np.random.default_rng(seed)
