@@ -5,10 +5,25 @@ cell, rows are output levels, columns are input levels).  Cells are
 programmed closed-loop to a memristance encoding the cell's confidence,
 read out sub-threshold through an inverting op-amp, combined by diode
 min/max networks, and defuzzified by a two-stage op-amp adder feeding an
-analog divider.  A ``HardwareModel`` holds every crossbar: one state tensor
+analog divider.  A ``HardwareModel`` holds every crossbar: one code tensor
 per input, with array (g, j), group g's array for input j, at
-``states[j][g]``.  ``program_from_model`` programs them all at once;
+``codes[j][g]``.  ``program_from_model`` programs them all at once;
 ``program_plane`` reprograms and ``read_column_voltages`` reads one.
+
+A twin holds codes, not states.  A cell's closed-loop trajectory depends
+only on its start state and its target, the targets are tent values, and a
+tent takes a handful of values, so a whole twin settles to a few distinct
+doped lengths (11 across the 409,600 cells of a 50-group, 64-level model).
+The twin keeps them once, in ``palette``, and every cell holds the index of
+its own, as the narrowest unsigned integer that indexes the palette: one
+byte, next to the one-byte exhausted mask of its programming report, where
+a float state took eight.  ``program_plane`` appends the outcomes the
+palette lacks, and a code tensor widens to two bytes when a code written
+into it passes 255 (a radius as wide as a 200-level axis, or repeated
+reprogramming, gets there).  Reads stay in code space: the min over inputs
+and the max over groups compare codes ranked by their read voltage, which
+select exactly the voltage the float cascade would, and only the winner
+becomes a voltage (``crossbar_infer`` says why that is bitwise).
 
 The device follows the linear-drift model: memristance interpolates between
 R_on (fully doped, w = D) and R_off (undoped, w = 0), and the state moves
@@ -28,7 +43,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +54,8 @@ from .model import IdsPlane, Model
 # bounds the cells one step of a batched read converts or gathers: a slab of
 # groups shrinks to fit, and so does a chunk of queries
 _READ_ELEMENTS = 1 << 16
-# bounds the cells of one slab of arrays that programming keys and writes
-# back at once, unless one array holds more
+# bounds the cells of one slab of arrays whose codes programming derives,
+# writes and counts at once, unless one array holds more
 _PROGRAM_CELLS = 1 << 15
 
 
@@ -100,8 +114,9 @@ def _pulse_r_squared(r2, v, dt, substeps: int, params: DeviceParams):
     # a very wide pulse drifts past a rail, to inf at worst, and the clip
     # puts it on that rail
     with np.errstate(over="ignore"):
+        drift = params.kappa * v * h
         for _ in range(substeps):
-            r2 = np.clip(r2 - params.kappa * v * h, lo, hi)
+            r2 = np.minimum(np.maximum(r2 - drift, lo), hi)
     return r2
 
 
@@ -180,11 +195,16 @@ def _read_voltages(w: np.ndarray, params: DeviceParams, v_read: float) -> np.nda
 def read_column_voltages(hw: HardwareModel, g: int, j: int, col: int) -> np.ndarray:
     """Raw op-amp output voltages of every row of array (g, j), group g's
     array for input j, for one selected 1-based column.  ``g`` and ``j``
-    count from 0, a negative one from the end."""
-    state = hw.states[j][range(len(hw.states[j]))[g]]
-    if not 1 <= col <= state.shape[1]:
-        raise ValueError(f"column {col} outside 1..{state.shape[1]}")
-    return _read_voltages(state[:, col - 1], hw.params, hw.v_read)
+    count from 0, a negative one from the end; ``col`` is an integer, and
+    a bool is refused."""
+    codes = hw.codes[j][range(len(hw.codes[j]))[g]]
+    if not isinstance(col, numbers.Integral) or isinstance(col, bool):
+        raise ValueError(f"column must be an integer, got {col!r}")
+    if not 1 <= col <= codes.shape[1]:
+        raise ValueError(f"column {col} outside 1..{codes.shape[1]}")
+    # the read law is elementwise, so reading the palette once and taking
+    # the column's codes from it is bitwise reading the cells
+    return _read_voltages(hw.palette, hw.params, hw.v_read)[codes[:, col - 1]]
 
 
 def _check_programming(epsilon: float, prog: ProgrammingParams, p: DeviceParams) -> None:
@@ -197,15 +217,16 @@ def _check_programming(epsilon: float, prog: ProgrammingParams, p: DeviceParams)
 
 
 def _settle(w: np.ndarray, target_c: np.ndarray, epsilon: float, prog: ProgrammingParams,
-            p: DeviceParams) -> tuple[np.ndarray, np.ndarray]:
+            p: DeviceParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The closed-loop write controller on independent cells.
 
-    Returns each cell's final doped length and pulse count.  The loop
-    verifies first, so already-converged cells (including every zero-target
-    cell of a fresh array) receive no pulses.  All still-erroneous cells get
-    one width-adapted pulse per iteration; this parallel sweep is equivalent
-    to per-cell sequencing because half-selected cells stay sub-threshold
-    and do not move.
+    Returns each cell's final doped length, pulse count, residual
+    |degree - target| and whether it ran out of pulse budget short of
+    epsilon.  The loop verifies first, so already-converged cells
+    (including every zero-target cell of a fresh array) receive no pulses.
+    All still-erroneous cells get one width-adapted pulse per iteration;
+    this parallel sweep is equivalent to per-cell sequencing because
+    half-selected cells stay sub-threshold and do not move.
     """
     r2 = _memristance_of_w(w, p) ** 2
     width = np.full(w.shape, prog.base_width)
@@ -230,79 +251,42 @@ def _settle(w: np.ndarray, target_c: np.ndarray, epsilon: float, prog: Programmi
         v = -prog.v_prog * s[active]
         r2[active] = _pulse_r_squared(r2[active], v, width[active], prog.substeps, p)
         pulses[active] += 1
-    return np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D), pulses
+    w = np.clip(_w_of_memristance(np.sqrt(r2), p), 0.0, p.D)
+    residuals = np.abs((1.0 - p.R_on / _memristance_of_w(w, p)) - target_c)
+    return w, pulses, residuals, (residuals > epsilon) & (pulses >= prog.budget_per_cell)
 
 
-def _program_stacks(
-    states: list[np.ndarray],
-    targets: Callable[[int, int, int], np.ndarray],
-    epsilon: float,
-    prog: ProgrammingParams,
-    p: DeviceParams,
-) -> list[list[ProgrammingReport]]:
-    """Program-and-verify stacks of arrays sharing one set of device constants.
+def _code_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned integers that index ``n`` entries."""
+    return np.min_scalar_type(max(n - 1, 0))
 
-    Each of ``states`` holds the doped lengths of one stack's arrays, shaped
-    (arrays, rows, cols), and every stack holds the same number of arrays.
-    ``targets(j, a0, a1)`` gives the hardware target grids of arrays a0:a1
-    of stack j, shaped like ``states[j][a0:a1]``, with every value in
-    [0, 1].  A cell's trajectory depends only on its start state and its
-    target, so the controller settles each distinct (state, target) pair
-    once and writes the outcome into every cell holding that pair, in
-    place.  Keys are built and outcomes written one slab of at most
-    ``_PROGRAM_CELLS`` cells (or one array) at a time, so no whole-stack
-    temporary is held: in a slab, runs of equal neighbours (the unstained
-    background) collapse to one (state, target) pair each, with a break at
-    every array boundary.  An array's totals come from its runs, and only
-    states and exhausted flags are expanded to cells.  A cell that goes
-    inactive never moves again, so an array's iteration count is its
-    largest pulse count.  Returns the reports indexed [array][stack].
-    """
-    slabs, run_w0, run_targets, run_lengths, run_firsts = [], [], [], [], []
-    for j, state in enumerate(states):
-        cells = math.prod(state.shape[1:])
-        step = max(1, _PROGRAM_CELLS // cells)
-        for a0 in range(0, len(state), step):
-            a1 = min(a0 + step, len(state))
-            w0, target = state[a0:a1].reshape(-1), targets(j, a0, a1).reshape(-1)
-            new = np.empty(w0.size, dtype=bool)
-            np.not_equal(w0[1:], w0[:-1], out=new[1:])
-            new[1:] |= target[1:] != target[:-1]
-            new[::cells] = True
-            starts = np.flatnonzero(new)
-            slabs.append((j, a0, a1))
-            run_w0.append(w0[starts])
-            run_targets.append(target[starts])
-            run_lengths.append(np.diff(starts, append=w0.size))
-            run_firsts.append(np.searchsorted(starts, np.arange(0, w0.size, cells)))
-    if not slabs:
-        return []
-    # a pair is keyed by the ranks of its start state and its target among
-    # their distinct values, since integer keys sort faster than complex
-    # ones; the runs' own values are dropped before the pair keys are sorted
-    w0, w0_rank = np.unique(np.concatenate(run_w0), return_inverse=True)
-    t, t_rank = np.unique(np.concatenate(run_targets), return_inverse=True)
-    del run_w0, run_targets
-    pairs, run_pair = np.unique(w0_rank * len(t) + t_rank, return_inverse=True)
-    w0, t = w0[pairs // len(t)], t[pairs % len(t)]
-    w, pulses = _settle(w0, t, epsilon, prog, p)
-    residuals = np.abs((1.0 - p.R_on / _memristance_of_w(w, p)) - t)
-    exhausted = (residuals > epsilon) & (pulses >= prog.budget_per_cell)
-    reports = [[None] * len(states) for _ in range(len(states[0]))]
-    stop = 0
-    for (j, a0, a1), lengths, firsts in zip(slabs, run_lengths, run_firsts):
-        runs = run_pair[stop:stop + lengths.size]
-        stop += lengths.size
-        state = states[j][a0:a1]
-        state[...] = np.repeat(w[runs], lengths).reshape(state.shape)
-        masks = np.repeat(exhausted[runs], lengths).reshape(state.shape)
-        run_pulses = pulses[runs]
-        for a, total, worst, mask, iterations in zip(
-                range(a0, a1), np.add.reduceat(run_pulses * lengths, firsts).tolist(),
-                np.maximum.reduceat(residuals[runs], firsts).tolist(), masks,
-                np.maximum.reduceat(run_pulses, firsts).tolist()):
-            reports[a][j] = ProgrammingReport(total, worst, mask, iterations)
-    return reports
+
+def _intern(palette: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The palette with each doped length of ``w`` it lacks appended, once,
+    and the code of every length of ``w`` in it.  Entries already held
+    keep their codes."""
+    order = np.argsort(palette, kind="stable")
+    at = np.searchsorted(palette[order], w)
+    held = at < len(palette)
+    held[held] = palette[order[at[held]]] == w[held]
+    new, new_codes = np.unique(w[~held], return_inverse=True)
+    codes = np.empty(len(w), dtype=np.intp)
+    codes[held] = order[at[held]]
+    codes[~held] = len(palette) + new_codes
+    return np.concatenate([palette, new]), codes
+
+
+def _reports(counts: np.ndarray, pulses: np.ndarray, residuals: np.ndarray,
+             masks: np.ndarray) -> list[ProgrammingReport]:
+    """One report per array, from how many of its cells hold each settled
+    pair (``counts``, arrays x pairs), the pairs' pulse counts and
+    residuals, and the arrays' exhausted masks.  A cell that goes inactive
+    never moves again, so an array's iteration count is its largest pulse
+    count."""
+    present = counts > 0
+    return [ProgrammingReport(*fields) for fields in zip(
+        (counts @ pulses).tolist(), np.where(present, residuals, 0.0).max(axis=1, initial=0.0).tolist(),
+        masks, np.where(present, pulses, 0).max(axis=1, initial=0).tolist())]
 
 
 def program_plane(
@@ -319,22 +303,34 @@ def program_plane(
     ``g`` and ``j`` count from 0, a negative one from the end.  Each cell's
     hardware target is its software degree scaled by the attenuation
     factor; cells are driven until within ``epsilon`` of it or out of pulse
-    budget.  The report replaces ``hw.reports[g][j]`` and is returned.  A
-    degree outside [0, 1], NaN and +-inf included, raises ValueError.
+    budget.  A cell's trajectory depends only on its start state and its
+    target, so the controller settles each distinct (start code, target)
+    pair once; the outcomes the palette lacks are appended to it, and the
+    array's code tensor widens if its codes no longer fit.  The report
+    replaces ``hw.reports[g][j]`` and is returned.  A degree outside
+    [0, 1], NaN and +-inf included, raises ValueError.
     """
-    g = range(len(hw.states[j]))[g]
-    state, p = hw.states[j][g:g + 1], hw.params
-    if state.shape[1:] != (target.output_spec.levels, target.input_spec.levels):
+    codes, p = hw.codes[j], hw.params
+    g = range(len(codes))[g]
+    if codes.shape[1:] != (target.output_spec.levels, target.input_spec.levels):
         raise ValueError(
-            f"array {state.shape[1]}x{state.shape[2]} cannot hold plane "
+            f"array {codes.shape[1]}x{codes.shape[2]} cannot hold plane "
             f"{target.output_spec.levels}x{target.input_spec.levels}"
         )
     outside = ~((target.grid >= 0.0) & (target.grid <= 1.0))
     if outside.any():
         raise ValueError(f"plane degrees must lie in [0, 1], got {target.grid[outside][0]}")
     _check_programming(epsilon, prog, p)
-    grid = target.grid.T * attenuation(p)
-    report = _program_stacks([state], lambda *_: grid[None], epsilon, prog, p)[0][0]
+    t, t_codes = np.unique((target.grid.T * attenuation(p)).ravel(), return_inverse=True)
+    keys, pair = np.unique(codes[g].ravel().astype(np.intp) * len(t) + t_codes, return_inverse=True)
+    w, pulses, residuals, exhausted = _settle(hw.palette[keys // len(t)], t[keys % len(t)], epsilon, prog, p)
+    hw.palette, new_codes = _intern(hw.palette, w)
+    wide = np.promote_types(codes.dtype, _code_dtype(len(hw.palette)))
+    if wide != codes.dtype:
+        hw.codes[j] = codes = codes.astype(wide)
+    codes[g] = new_codes[pair].reshape(codes.shape[1:])
+    report, = _reports(np.bincount(pair, minlength=len(keys))[None], pulses, residuals,
+                       exhausted[pair].reshape(1, *codes.shape[1:]))
     hw.reports[g][j] = report
     return report
 
@@ -401,13 +397,17 @@ def defuzz_circuit(mu_voltages, n_y: int, floor: float = 0.0):
 class HardwareModel:
     """A Model programmed onto crossbars, one per (group, input variable).
 
-    ``states[j]`` holds the doped lengths of input j's arrays, one per
-    group, shaped (groups, output levels, input levels).  Every array reads
-    through the same device and read constants, and ``reports[g][j]`` is
-    the programming report of group g's array for input j.
+    Every cell holds a code into ``palette``, the distinct doped lengths
+    programming has settled cells to.  ``codes[j]`` holds input j's arrays,
+    one per group, shaped (groups, output levels, input levels), as the
+    narrowest unsigned integers that held its codes when they were
+    written.  Every array reads through the same device and read
+    constants, and ``reports[g][j]`` is the programming report of group
+    g's array for input j.
     """
 
-    states: list[np.ndarray]
+    codes: list[np.ndarray]
+    palette: np.ndarray
     input_specs: list[QuantizationSpec]
     output_spec: QuantizationSpec
     params: DeviceParams
@@ -437,26 +437,54 @@ def program_from_model(
 ) -> HardwareModel:
     """Program one crossbar per plane of the given model.
 
-    Every array starts fresh, at R_on, and all of them go through one run
-    of the write controller, which settles each distinct (start state,
-    target) pair once; each array still gets its own report.  The targets
-    of a slab of groups are derived from their stains (``Model.planes``)
-    when the slab is keyed, so no stack of the model's planes is held.
-    Reads need 0 < v_read < V_th: at a negative bias a fresh cell would
-    outread every programmed one.  The min stage adds the diode drop and
-    the max stage takes it off, so a drop beyond [0, V_th] would only
-    round away the read voltages.
+    Every array starts fresh, at R_on, so a cell's outcome depends only on
+    its target, a tent value scaled by the attenuation factor: the write
+    controller settles each distinct target of every input once, and the
+    palette holds the distinct doped lengths they settle to.  Then, one
+    slab of at most ``_PROGRAM_CELLS`` cells (or one array) at a time, the
+    slab's tent codes are derived from its groups' stains
+    (``Model.plane_codes``) and mapped to palette codes, and each array's
+    report is reduced from how many of its cells hold each target, so no
+    whole-model temporary is built.  Reads need 0 < v_read < V_th: at a
+    negative bias a fresh cell would outread every programmed one.  The min
+    stage adds the diode drop and the max stage takes it off, so a drop
+    beyond [0, V_th] would only round away the read voltages.
     """
     _check_programming(epsilon, prog, params)
     if not 0 < v_read < params.V_th:
         raise ValueError(f"v_read = {v_read} must lie in (0, V_th = {params.V_th})")
     if not 0 <= diode_drop <= params.V_th:
         raise ValueError(f"diode_drop = {diode_drop} must lie in [0, V_th = {params.V_th}]")
-    n_g, att = len(model.groups), attenuation(params)
-    states = [np.full((n_g, model.output_spec.levels, spec.levels), params.D) for spec in model.input_specs]
-    reports = _program_stacks(states, lambda j, g0, g1: model.planes(j, g0, g1).transpose(0, 2, 1) * att,
-                              epsilon, prog, params)
-    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop, reports)
+    n_g, n_y, att = len(model.groups), model.output_spec.levels, attenuation(params)
+    values = [model.tent_values(j) for j in range(model.n_inputs)]
+    t, target_of = np.unique(np.concatenate(values) * att, return_inverse=True)
+    w, pulses, residuals, exhausted = _settle(np.full(len(t), params.D), t, epsilon, prog, params)
+    # the distinct outcomes in order of read voltage, so that a read finds
+    # its codes are ranks already
+    palette, code_of = np.unique(w, return_inverse=True)
+    order = np.argsort(_read_voltages(palette, params, v_read), kind="stable")
+    palette, code_of = palette[order], np.argsort(order).astype(_code_dtype(len(palette)))[code_of]
+    codes, reports = [], [[None] * model.n_inputs for _ in range(n_g)]
+    for j, (spec, tent_t) in enumerate(zip(model.input_specs,
+                                           np.split(target_of, np.cumsum([len(v) for v in values])[:-1]))):
+        # per tent value of input j: its palette code and its target's outcome
+        lut, tent_pulses = code_of[tent_t], pulses[tent_t]
+        tent_residuals, tent_exhausted = residuals[tent_t], exhausted[tent_t]
+        codes.append(np.empty((n_g, n_y, spec.levels), dtype=lut.dtype))
+        step = max(1, _PROGRAM_CELLS // (n_y * spec.levels))
+        for g0 in range(0, n_g, step):
+            tent = model.plane_codes(j, g0, min(g0 + step, n_g)).astype(np.intp)
+            codes[j][g0:g0 + step] = lut[tent]
+            # per array, how many of its cells hold each tent value
+            counts = np.bincount((tent + len(lut) * np.arange(len(tent))[:, None, None]).ravel(),
+                                 minlength=len(tent) * len(lut)).reshape(len(tent), -1)
+            # cells rarely run out of budget, and an all-False mask takes no
+            # memory until it is read
+            masks = tent_exhausted[tent] if tent_exhausted.any() else np.zeros(tent.shape, dtype=bool)
+            for g, report in enumerate(_reports(counts, tent_pulses, tent_residuals, masks), g0):
+                reports[g][j] = report
+    return HardwareModel(codes, palette, list(model.input_specs), model.output_spec, params, v_read, diode_drop,
+                         reports)
 
 
 def crossbar_infer(hw: HardwareModel, x):
@@ -468,11 +496,18 @@ def crossbar_infer(hw: HardwareModel, x):
     NaN input.  A batch returns a (batch,) array, NaN where the divider
     underflows or an input is NaN; the other rows do not depend on it.
 
-    The batch is read as the hardware reads it, every array at once: per
-    input, the distinct selected columns of its state tensor are read
-    once, a bounded slab of groups at a time, and each query gathers its
-    rows from them.  The queries then pass, a chunk at a time, through the
-    diode min over inputs, the diode max over groups and the divider.
+    The batch is read as the hardware reads it, every array at once, but in
+    code space: the palette's read voltages are computed once, and every
+    code is ranked by its voltage (``program_from_model`` orders the
+    palette so that codes are ranks already).  Per input, the distinct selected
+    columns of its code tensor are taken once as ranks, a bounded slab of
+    groups at a time, and each query gathers its rows from them.  The
+    queries then pass, a chunk at a time, through the min over inputs and
+    the max over groups on those small integers, and only the winning rank
+    becomes a voltage.  That is bitwise the float cascade: a min or max of
+    values from one set selects one of them, ranking by the voltages
+    themselves needs no monotone read law, and rounding to nearest is
+    monotone, so max_g fl(v_g + drop) = fl(max_g v_g + drop).
     """
     X = np.asarray(x, dtype=float)
     n_in = len(hw.input_specs)
@@ -486,29 +521,40 @@ def crossbar_infer(hw: HardwareModel, x):
     nan = np.isnan(X).any(axis=1)
     if single and nan[0]:
         raise ValueError("NaN has no quantization level")
-    out, n_g = hw.output_spec, len(hw.states[0]) if hw.states else 0
+    out, n_g = hw.output_spec, len(hw.codes[0]) if hw.codes else 0
     X = np.where(nan[:, None], [spec.min for spec in hw.input_specs], X)
     n_y = out.levels
-    # per input: the voltages of each distinct selected column, (cols, groups,
-    # rows), read a bounded slab of groups at a time, and each query's index
-    # into them
-    reads = []
-    for j, (spec, state) in enumerate(zip(hw.input_specs, hw.states) if n_g else ()):
+    # per input: the ranks of each distinct selected column, (cols, groups,
+    # rows), taken a bounded slab of groups at a time, and each query's
+    # index into them
+    reads, rank = [], None
+    if n_g:
+        volts = _read_voltages(hw.palette, hw.params, hw.v_read)
+        # codes are ranks already where the voltages rise with them, as
+        # program_from_model orders them; else each code takes its rank
+        # among the distinct voltages
+        if not (volts[1:] > volts[:-1]).all():
+            volts, rank = np.unique(volts, return_inverse=True)
+            rank = rank.astype(_code_dtype(len(volts)))
+        # min and max are taken on ranks, so each diode network's winner passes
+        # its forward drop alone: the min stage adds it, the max stage takes it off
+        level_of_rank = diode_max(diode_min(volts[None], hw.diode_drop, axis=0)[None], hw.diode_drop, axis=0)
+    for j, (spec, codes) in enumerate(zip(hw.input_specs, hw.codes) if n_g else ()):
         cols, inverse = np.unique(quantize_many(spec, X[:, j]) - 1, return_inverse=True)
-        block = np.empty((len(cols), n_g, n_y))
+        block = np.empty((len(cols), n_g, n_y), dtype=codes.dtype if rank is None else rank.dtype)
         slab = max(1, _READ_ELEMENTS // max(1, len(cols) * n_y))
         for g0 in range(0, n_g, slab):
-            w = state[g0:g0 + slab].take(cols, axis=2)
-            block[:, g0:g0 + slab] = _read_voltages(w, hw.params, hw.v_read).transpose(2, 0, 1)
+            taken = codes[g0:g0 + slab].take(cols, axis=2)
+            block[:, g0:g0 + slab] = (taken if rank is None else rank[taken]).transpose(2, 0, 1)
         reads.append((block, inverse))
     levels = np.empty(len(X))
     step = max(1, _READ_ELEMENTS // (n_in * max(1, n_g) * n_y))
     for b0 in range(0, len(X), step):
         rows = slice(b0, b0 + step)
         if reads:
-            # (inputs, queries, groups, rows): min over inputs, max over groups
-            plane_vs = np.array([block[inverse[rows]] for block, inverse in reads])
-            level_mu = diode_max(diode_min(plane_vs, hw.diode_drop, axis=0), hw.diode_drop, axis=1)
+            # (queries, groups, rows) per input: min over inputs, max over groups
+            ranks = np.minimum.reduce([block[inverse[rows]] for block, inverse in reads]).max(axis=1)
+            level_mu = level_of_rank[ranks]
         else:
             level_mu = np.zeros((len(X[rows]), n_y))
         levels[rows] = np.clip(defuzz_circuit(level_mu, n_y, floor=hw.divider_floor), 1.0, n_y)
@@ -519,4 +565,3 @@ def crossbar_infer(hw: HardwareModel, x):
     if np.isnan(values[0]):
         raise DividerUnderflowError(f"divider denominator at or below floor {hw.divider_floor:.3e}")
     return float(values[0])
-

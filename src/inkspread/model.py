@@ -9,10 +9,11 @@ stains as append-only columns: input levels (S, J), output levels (S,) and
 one offset per group.  Next to them it holds the query-free half of the
 inference kernel, its plan, built once with the model and extended as
 groups are appended, so no query rebuilds it.  ``Model.groups`` reads the
-columns back as ``IdsGroup`` snapshots; ``Model.planes`` derives the
-planes of a range of groups on demand, ``Model.plane`` and
-``Model.input_stacks`` read from it, and ``diffuse`` writes the same tent
-block onto one plane.
+columns back as ``IdsGroup`` snapshots; ``Model.plane_codes`` derives the
+planes of a range of groups on demand, as codes into the few values a tent
+takes, ``Model.planes``, ``Model.plane`` and ``Model.input_stacks`` read
+their values from it, and ``diffuse`` writes the same tent block onto one
+plane.
 
 Two training policies are provided: ``train_full`` allocates one group per
 sample, and ``train_error_gated`` allocates a group only when the current
@@ -23,6 +24,7 @@ memory-reduced layout packs several samples into one group via
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -232,34 +234,46 @@ class Model:
         g = range(len(self._offsets) - 1)[g]
         return self._offsets[g], self._offsets[g + 1]
 
-    def planes(self, j: int, g0: int = 0, g1: int | None = None) -> np.ndarray:
-        """Plane ``j`` (0-based) of groups ``g0:g1``, shaped (groups, input
-        levels, output levels), derived from the groups' stains.
+    def tent_values(self, j: int) -> np.ndarray:
+        """The distinct values plane ``j``'s cells can hold, sorted, 0 first:
+        ``plane_codes`` indexes them."""
+        return _tent_codes(self._radii, self._input_specs[j].levels, self._output_spec.levels)[0]
+
+    def plane_codes(self, j: int, g0: int = 0, g1: int | None = None) -> np.ndarray:
+        """Plane ``j`` (0-based) of groups ``g0:g1`` as codes into
+        ``tent_values(j)``, shaped (groups, output levels, input levels), as
+        a crossbar holds a plane, and derived from the groups' stains.
 
         Stain levels are integers, so every stain is the block ``_tent``
-        gives, shifted to its centre.  Rank by rank (the k-th stain of every
-        group that has one) the blocks are maxed into the planes with one
-        fancy-indexed write, and no two stains of one rank share a plane.
-        The planes are held output level by input level, as a crossbar
-        holds them, and returned as a view that transposes them.  Block
-        cells off a plane land in a spare last row and column, which the
-        view leaves out.
+        gives, shifted to its centre, and that block takes a handful of
+        values.  Rank by rank (the k-th stain of every group that has one)
+        the block's codes are maxed into the planes with one fancy-indexed
+        write, and no two stains of one rank share a plane.  The values are
+        sorted, so the max of codes is the code of the max.  Block cells off
+        a plane land in a spare last row and column, which the returned view
+        leaves out.
         """
         n_in, n_out = self._input_specs[j].levels, self._output_spec.levels
         span = range(len(self._offsets) - 1)[g0:g1]
         offsets = self._offsets[span.start:span.stop + 1]
         sizes = np.diff(offsets)
-        block = _tent(self._radii, n_in, n_out).T
-        out = np.zeros((len(sizes), n_out + 1, n_in + 1))
+        block = _tent_codes(self._radii, n_in, n_out)[1].T
+        out = np.zeros((len(sizes), n_out + 1, n_in + 1), dtype=block.dtype)
         for k in range(sizes.max(initial=0)):
             g = np.flatnonzero(sizes > k)
             s = offsets[g] + k
             rows = _spread(self._c_out[s] - 1, block.shape[0] // 2, n_out)
             cols = _spread(self._c_in[s, j] - 1, block.shape[1] // 2, n_in)
             at = (g[:, None, None], rows[:, :, None], cols[:, None, :])
-            # every plane is still zero where a group's first stain lands
+            # every plane is still code 0, value 0, where a group's first stain lands
             out[at] = block if k == 0 else np.maximum(out[at], block)
-        return out[:, :n_out, :n_in].transpose(0, 2, 1)
+        return out[:, :n_out, :n_in]
+
+    def planes(self, j: int, g0: int = 0, g1: int | None = None) -> np.ndarray:
+        """Plane ``j`` (0-based) of groups ``g0:g1``, shaped (groups, input
+        levels, output levels): the values of ``plane_codes``, returned as a
+        view that transposes them."""
+        return self.tent_values(j)[self.plane_codes(j, g0, g1)].transpose(0, 2, 1)
 
     def plane(self, g: int, j: int) -> IdsPlane:
         """Plane ``j`` of group ``g`` (0-based; a negative ``g`` counts from the end)."""
@@ -278,6 +292,17 @@ def _tent(radii: StainRadii, n_in: int, n_out: int) -> np.ndarray:
     ``max(0, min(1 - |d_in| / radius_in, 1 - |d_out| / radius_out))``."""
     return np.maximum(0.0, np.minimum(_ramp(radii.radius_in, n_in)[:, None],
                                       _ramp(radii.radius_out, n_out)[None, :]))
+
+
+@functools.lru_cache(maxsize=16)
+def _tent_codes(radii: StainRadii, n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_tent``'s block as codes into its distinct values, with 0 first
+    even where the block never reaches it: (values, block codes), both
+    read-only, since every slab of a model's planes asks for them.  The
+    codes are the narrowest unsigned integers that hold them."""
+    block = _tent(radii, n_in, n_out)
+    values, codes = np.unique(np.append(0.0, block), return_inverse=True)
+    return _frozen(values), _frozen(codes[1:].reshape(block.shape).astype(np.min_scalar_type(len(values) - 1)))
 
 
 def _ramp(radius: float, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ programming that sets every cell straight to its encoded target.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -221,6 +222,30 @@ def program_plane_exact(w: np.ndarray, target: IdsPlane, p: DeviceParams = Devic
     w[...] = np.clip(_w_of_memristance(r, p), 0.0, p.D)
 
 
+def states_of(hw: HardwareModel) -> list[np.ndarray]:
+    """Every cell's doped length, one (groups, rows, cols) array per input:
+    the twin's palette gathered by its codes."""
+    return [hw.palette[codes] for codes in hw.codes]
+
+
+def with_states(hw: HardwareModel, states: list[np.ndarray]) -> HardwareModel:
+    """A twin like ``hw`` whose cells hold the doped lengths ``states``, one
+    (groups, rows, cols) array per input, coded into a palette of their
+    distinct values."""
+    palette, codes = np.unique(np.concatenate([state.ravel() for state in states]), return_inverse=True)
+    codes = np.split(codes.astype(np.min_scalar_type(max(len(palette) - 1, 0))),
+                     np.cumsum([state.size for state in states])[:-1])
+    return dataclasses.replace(hw, codes=[c.reshape(state.shape) for c, state in zip(codes, states)],
+                               palette=palette)
+
+
+def _twin(states: list[np.ndarray], model: Model, params: DeviceParams, v_read: float, diode_drop: float,
+          reports: list[list[ProgrammingReport]]) -> HardwareModel:
+    empty = HardwareModel([], np.empty(0), list(model.input_specs), model.output_spec, params, v_read,
+                          diode_drop, reports)
+    return with_states(empty, states)
+
+
 def _fresh_states(model: Model, params: DeviceParams) -> list[np.ndarray]:
     """One (groups, rows, cols) stack of fresh arrays, at R_on, per input."""
     return [np.full((len(model.groups), model.output_spec.levels, spec.levels), params.D)
@@ -239,8 +264,7 @@ def program_from_model_reference(
     states = _fresh_states(model, params)
     reports = [[program_plane_reference(state[g], plane_reference(model, g, j), epsilon, prog, params)
                 for j, state in enumerate(states)] for g in range(len(model.groups))]
-    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop,
-                         reports)
+    return _twin(states, model, params, v_read, diode_drop, reports)
 
 
 def program_from_model_exact(
@@ -254,7 +278,19 @@ def program_from_model_exact(
     for g in range(len(model.groups)):
         for j, state in enumerate(states):
             program_plane_exact(state[g], plane_reference(model, g, j), params)
-    return HardwareModel(states, list(model.input_specs), model.output_spec, params, v_read, diode_drop, [])
+    return _twin(states, model, params, v_read, diode_drop, [])
+
+
+def _read_law(w: np.ndarray, hw: HardwareModel) -> np.ndarray:
+    """The op-amp output voltages of cells with doped lengths ``w``:
+    v_read + v_read*(-R_on/R_m)."""
+    r = _memristance_of_w(w, hw.params)
+    return hw.v_read + hw.v_read * (-(hw.params.R_on / r))
+
+
+def read_column_reference(hw: HardwareModel, g: int, j: int, col: int) -> np.ndarray:
+    """One 1-based column of array (g, j), read cell by cell from its doped lengths."""
+    return _read_law(states_of(hw)[j][g][:, col - 1], hw)
 
 
 def crossbar_infer_reference(hw: HardwareModel, x) -> float:
@@ -263,14 +299,14 @@ def crossbar_infer_reference(hw: HardwareModel, x) -> float:
     cols = [quantize(spec, float(xi)) for spec, xi in zip(hw.input_specs, x)]
     n_y = hw.output_spec.levels
     level_mu = np.zeros(n_y)
-    n_g = len(hw.states[0]) if hw.states else 0
+    states = states_of(hw)
+    n_g = len(states[0]) if states else 0
     if n_g:
         group_mins = []
         for g in range(n_g):
             plane_vs = []
-            for j, state in enumerate(hw.states):
-                r = _memristance_of_w(state[g][:, cols[j] - 1], hw.params)
-                plane_vs.append(hw.v_read + hw.v_read * (-(hw.params.R_on / r)))
+            for j, state in enumerate(states):
+                plane_vs.append(_read_law(state[g][:, cols[j] - 1], hw))
             group_mins.append(np.minimum.reduce(plane_vs) + hw.diode_drop)
         level_mu = np.maximum.reduce(group_mins) - hw.diode_drop
     level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)

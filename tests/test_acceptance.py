@@ -259,9 +259,9 @@ def test_device_model(capsys):
 
     model = _worked_model()
     hw = program_from_model(model, epsilon=0.01)
-    before = [state.copy() for state in hw.states]
+    before = [codes.copy() for codes in hw.codes] + [hw.palette.copy()]
     crossbar_infer(hw, np.random.default_rng(3).uniform(1.0, 10.0, size=(200, 2)))
-    after = hw.states
+    after = hw.codes + [hw.palette]
     checks.append(("sub-threshold reads leave state", all(
         a.tobytes() == b.tobytes() for a, b in zip(after, before))))
 

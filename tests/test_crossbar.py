@@ -1,5 +1,6 @@
 """Device model, closed-loop programming, analog stages, end-to-end twin."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inkspread import crossbar
@@ -18,7 +19,6 @@ from inkspread.crossbar import (
     DeviceParams,
     ProgrammingParams,
     _memristance_of_w,
-    _program_stacks,
     _pulse_r_squared,
     _w_of_memristance,
     attenuation,
@@ -37,10 +37,14 @@ from inkspread.model import IdsGroup, IdsPlane, Model, Sample, diffuse, train_fu
 from reference import (
     crossbar_infer_reference,
     empty_plane,
+    plane_reference,
     program_from_model_exact,
     program_from_model_reference,
     program_plane_exact,
     program_plane_reference,
+    read_column_reference,
+    states_of,
+    with_states,
 )
 
 P = DeviceParams()
@@ -142,12 +146,11 @@ class TestApplyPulse:
         # read voltage, 0 < v_read < V_th, and no read moves any cell
         rng = np.random.default_rng(4)
         for v_read in (0.5, 0.999, 1e-3):
-            hw = fresh_twin(3, 5, v_read=v_read)
-            hw.states[0][0] = rng.uniform(0.0, P.D, size=(3, 5))
-            before = hw.states[0].copy()
+            hw = with_states(fresh_twin(3, 5, v_read=v_read), [rng.uniform(0.0, P.D, size=(1, 3, 5))])
+            before = hw.codes[0].copy(), hw.palette.copy()
             for col in range(1, 6):
                 read_column_voltages(hw, 0, 0, col)
-            assert hw.states[0].tobytes() == before.tobytes()
+            assert same_bits(hw.codes[0], before[0]) and same_bits(hw.palette, before[1])
 
     def test_positive_pulse_lowers_memristance(self):
         w = 0.5 * P.D
@@ -186,14 +189,15 @@ class TestEncodingAndReadout:
         """A 2x2 array programmed exactly to a plane of the given degrees."""
         plane = IdsPlane(self.UNIT, self.UNIT, np.array(degree_pairs, dtype=float))
         hw = fresh_twin(2, 2)
-        program_plane_exact(hw.states[0][0], plane)
-        return hw
+        states = states_of(hw)
+        program_plane_exact(states[0][0], plane)
+        return with_states(hw, states)
 
     def test_attenuation_at_defaults(self):
         assert attenuation(P) == pytest.approx(0.99)
 
     def test_degree_encoding_endpoints(self):
-        r = _memristance_of_w(self.exact((0.0, 1.0), (1.0, 0.0)).states[0][0], P)
+        r = _memristance_of_w(states_of(self.exact((0.0, 1.0), (1.0, 0.0)))[0][0], P)
         assert r[0, 0] == r[1, 1] == P.R_on
         assert r[0, 1] == pytest.approx(P.R_off) and r[1, 0] == pytest.approx(P.R_off)
 
@@ -202,14 +206,19 @@ class TestEncodingAndReadout:
         assert degrees(hw, 2)[2] == 0.0
         assert (read_column_voltages(hw, 0, 0, 3) == 0.0).all()
 
-    def test_read_at_r_off(self):
+    @staticmethod
+    def one_cell(w):
+        """A fresh 2x2 array whose first cell holds doped length ``w``."""
         hw = fresh_twin(2, 2)
-        hw.states[0][0, 0, 0] = 0.0
-        assert degrees(hw, 1)[0] == pytest.approx(0.99)
+        states = states_of(hw)
+        states[0][0, 0, 0] = w
+        return with_states(hw, states)
+
+    def test_read_at_r_off(self):
+        assert degrees(self.one_cell(0.0), 1)[0] == pytest.approx(0.99)
 
     def test_read_at_twice_r_on(self):
-        hw = fresh_twin(2, 2)
-        hw.states[0][0, 0, 0] = (P.R_off - 2 * P.R_on) / (P.R_off - P.R_on) * P.D
+        hw = self.one_cell((P.R_off - 2 * P.R_on) / (P.R_off - P.R_on) * P.D)
         assert degrees(hw, 1)[0] == pytest.approx(0.5)
 
     def test_encode_then_read_recovers_attenuated_degree(self):
@@ -224,14 +233,27 @@ class TestEncodingAndReadout:
         with pytest.raises(ValueError, match="column"):
             read_column_voltages(fresh_twin(2, 3), 0, 0, col)
 
+    @pytest.mark.parametrize("col", [True, False, np.bool_(True), 1.5, 2.0, "2", None])
+    def test_a_column_that_is_not_an_integer_rejected(self, col):
+        # True would read column 1, and 1.5 would fail inside numpy
+        with pytest.raises(ValueError, match=f"column must be an integer, got {col!r}"):
+            read_column_voltages(fresh_twin(2, 3), 0, 0, col)
+
+    @pytest.mark.parametrize("col", [np.int64(2), np.uint8(2), np.int32(2)])
+    def test_a_numpy_integer_column_accepted(self, col):
+        hw = fresh_twin(OUT6.levels, IN8.levels)
+        program_plane(hw, 0, 0, stain_plane(), 0.01)
+        assert same_bits(read_column_voltages(hw, 0, 0, col), read_column_voltages(hw, 0, 0, 2))
+
     def test_reads_leave_every_array_bitwise_unchanged(self, worked_model):
         hw = program_from_model(worked_model, epsilon=0.01)
-        before = [state.copy() for state in hw.states]
+        before = [codes.copy() for codes in hw.codes], hw.palette.copy()
         rng = np.random.default_rng(0)
         queries = np.column_stack([rng.uniform(s.min, s.max, 300) for s in worked_model.input_specs])
         crossbar_infer(hw, queries)
         crossbar_infer(hw, queries[:1])
-        assert all(same_bits(state, w) for state, w in zip(hw.states, before))
+        assert all(same_bits(codes, c) for codes, c in zip(hw.codes, before[0]))
+        assert same_bits(hw.palette, before[1])
         assert (read_column_voltages(fresh_twin(3, 2), 0, 0, 2) == 0.0).all()
 
 
@@ -250,7 +272,7 @@ class TestProgramPlane:
         hw = fresh_twin(OUT6.levels, IN8.levels)
         report = program_plane(hw, 0, 0, empty_plane(IN8, OUT6), 0.01)
         assert report.total_pulses == 0
-        assert np.all(hw.states[0] == P.D)
+        assert np.all(states_of(hw)[0] == P.D)
 
     def test_stain_target_converges_within_epsilon(self):
         hw = fresh_twin(OUT6.levels, IN8.levels)
@@ -296,7 +318,8 @@ class TestProgramPlane:
         hw = fresh_twin(OUT6.levels, IN8.levels, groups=3)
         report = program_plane(hw, -2, -1, stain_plane(), 0.01)
         assert hw.reports[1][0] is report
-        assert np.all(hw.states[0][[0, 2]] == P.D) and not np.all(hw.states[0][1] == P.D)
+        state = states_of(hw)[0]
+        assert np.all(state[[0, 2]] == P.D) and not np.all(state[1] == P.D)
         assert same_bits(read_column_voltages(hw, -2, -1, 5), read_column_voltages(hw, 1, 0, 5))
 
     @pytest.mark.parametrize("g, j", [(3, 0), (-4, 0), (0, 1), (0, -2)])
@@ -306,7 +329,7 @@ class TestProgramPlane:
             program_plane(hw, g, j, stain_plane(), 0.01)
         with pytest.raises(IndexError):
             read_column_voltages(hw, g, j, 1)
-        assert np.all(hw.states[0] == P.D)
+        assert np.all(states_of(hw)[0] == P.D)
 
     def test_dimension_mismatch_rejected(self):
         hw = fresh_twin(3, 3)
@@ -328,7 +351,7 @@ class TestProgramPlane:
         plane.grid[2, 1] = value
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             program_plane(hw, 0, 0, plane, 0.01)
-        assert np.all(read_column_voltages(hw, 0, 0, 1) == 0.0) and np.all(hw.states[0] == P.D)
+        assert np.all(read_column_voltages(hw, 0, 0, 1) == 0.0) and np.all(states_of(hw)[0] == P.D)
 
     def test_degrees_at_zero_and_one_program(self):
         hw = fresh_twin(OUT6.levels, IN8.levels)
@@ -342,12 +365,14 @@ class TestProgramPlane:
         hw = fresh_twin(OUT6.levels, IN8.levels)
         with pytest.raises(ValueError):
             program_plane(hw, 0, 0, stain_plane(), eps)
-        assert np.all(read_column_voltages(hw, 0, 0, 1) == 0.0) and np.all(hw.states[0] == P.D)
+        assert np.all(read_column_voltages(hw, 0, 0, 1) == 0.0) and np.all(states_of(hw)[0] == P.D)
 
     def test_exact_programming_reads_back_attenuated_grid(self):
-        hw = fresh_twin(OUT6.levels, IN8.levels)
+        fresh = fresh_twin(OUT6.levels, IN8.levels)
         plane = stain_plane()
-        program_plane_exact(hw.states[0][0], plane)
+        states = states_of(fresh)
+        program_plane_exact(states[0][0], plane)
+        hw = with_states(fresh, states)
         att = attenuation(P)
         for col in range(1, IN8.levels + 1):
             assert degrees(hw, col) == pytest.approx(plane.grid[col - 1] * att, abs=1e-12)
@@ -463,6 +488,16 @@ def worked_model():
     return train_full(SAMPLES, SPECS, OUT, StainRadii(3.0, 1.5))
 
 
+@functools.cache
+def twin_model():
+    """The 50-sample f2 model of the hardware-twin acceptance test and of
+    the crossbar-twin benchmark: 64 levels per axis and radii of 10."""
+    ds = gen_f2(50, 123)
+    specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
+    outs = [s.output for s in ds.samples]
+    return train_full(ds.samples, specs, QuantizationSpec(min(outs), max(outs), 64), StainRadii(10.0, 10.0))
+
+
 def covered_queries(model, rng, count):
     out = []
     while len(out) < count:
@@ -517,6 +552,14 @@ class TestEndToEnd:
     def test_empty_model_rejects_non_finite_epsilon(self, eps):
         with pytest.raises(ValueError):
             program_from_model(Model([], SPECS, OUT, StainRadii(3.0, 1.5)), epsilon=eps)
+
+    @pytest.mark.parametrize("eps, pulses", [(0.01, 272_669), (0.002, 405_240)])
+    def test_the_twin_model_takes_a_pinned_pulse_count(self, eps, pulses):
+        """The two counts sum to the 677,909 pulses of the crossbar-twin
+        benchmark's epsilon sweep."""
+        hw = program_from_model(twin_model(), eps)
+        assert sum(r.total_pulses for row in hw.reports for r in row) == pulses
+        assert hw.worst_residual <= eps
 
     def test_reports_cover_every_plane(self, worked_model):
         hw = program_from_model(worked_model, epsilon=0.01)
@@ -608,8 +651,8 @@ def assert_same_report(got, want):
 
 
 def assert_same_hardware(got, want):
-    assert len(got.states) == len(want.states)
-    for a, b in zip(got.states, want.states):
+    assert len(got.codes) == len(want.codes)
+    for a, b in zip(states_of(got), states_of(want)):
         assert same_bits(a, b)
     assert (got.params, repr(got.v_read), repr(got.diode_drop)) == (want.params, repr(want.v_read),
                                                                      repr(want.diode_drop))
@@ -621,7 +664,8 @@ def assert_same_hardware(got, want):
 
 @st.composite
 def small_models(draw):
-    """A train_full model of up to four samples on a few small planes."""
+    """A train_full model of up to four samples on a few small planes, and
+    maybe an empty group after them, whose arrays hold no tent value but 0."""
     n_in = draw(st.integers(1, 2))
     specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 9))) for _ in range(n_in)]
     out = QuantizationSpec(0.0, 1.0, draw(st.integers(2, 7)))
@@ -629,9 +673,8 @@ def small_models(draw):
     unit = st.floats(0.0, 1.0)
     samples = [Sample(tuple(draw(unit) for _ in range(n_in)), draw(unit))
                for _ in range(draw(st.integers(0, 4)))]
-    if not samples:
-        return Model([], specs, out, radii)
-    return train_full(samples, specs, out, radii)
+    groups = list(train_full(samples, specs, out, radii).groups) if samples else []
+    return Model(groups + [IdsGroup()] * draw(st.integers(0, 1)), specs, out, radii)
 
 
 @st.composite
@@ -676,7 +719,7 @@ class TestBatchedTwinMatchesReference:
     def test_empty_model_programs_nothing(self):
         empty = Model([], SPECS, OUT, StainRadii(3.0, 1.5))
         got = program_from_model(empty, 0.01)
-        assert [state.shape for state in got.states] == [(0, OUT.levels, spec.levels) for spec in SPECS]
+        assert [codes.shape for codes in got.codes] == [(0, OUT.levels, spec.levels) for spec in SPECS]
         assert got.reports == []
         assert_same_hardware(got, program_from_model_reference(empty, 0.01))
 
@@ -694,32 +737,30 @@ class TestBatchedTwinMatchesReference:
             plane = IdsPlane(IN8, OUT6, grid)
             assert_same_report(program_plane(hw, g, 0, plane, eps, prog),
                                program_plane_reference(want, plane, eps, prog))
-            assert same_bits(hw.states[0][g], want)
+            assert same_bits(states_of(hw)[0][g], want)
         others = np.arange(3) != range(3)[g]
-        assert np.all(hw.states[0][others] == P.D)
+        assert np.all(states_of(hw)[0][others] == P.D)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 0.05), controllers())
     def test_arrays_of_any_shape_and_state_keep_their_own_reports(self, seed, eps, prog):
-        """Stacks of one batch differ in shape, and their arrays in start
-        state and largest pulse count."""
+        """Inputs of one twin differ in width, and their arrays in start
+        state and largest pulse count.  Each array reprogrammed keeps its
+        own report, and later writes start from the palette earlier ones
+        grew."""
         rng = np.random.default_rng(seed)
-        n_arrays = rng.integers(1, 4)
-        shapes = [tuple(rng.integers(2, 7, 2)) for _ in range(rng.integers(1, 4))]
-        states = [rng.choice([0.0, 0.5, 1.0], (n_arrays, *shape)) * P.D for shape in shapes]
-        want = [state.copy() for state in states]
-        planes = []
+        n_arrays, rows = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        specs = [QuantizationSpec(0, 1, int(c)) for c in rng.integers(2, 7, rng.integers(1, 4))]
+        want = [rng.choice([0.0, 0.5, 1.0], (n_arrays, rows, spec.levels)) * P.D for spec in specs]
+        empty = Model([IdsGroup() for _ in range(n_arrays)], specs, QuantizationSpec(0, 1, rows), StainRadii(1.0, 1.0))
+        hw = with_states(program_from_model(empty, eps, prog=prog), want)
         for a in range(n_arrays):
-            for r, c in shapes:
-                grid = rng.choice([0.0, 0.3, rng.uniform()], (c, r))
-                planes.append(IdsPlane(QuantizationSpec(0, 1, c), QuantizationSpec(0, 1, r), grid))
-        reports = _program_stacks(states, lambda j, a0, a1: np.array(
-            [planes[a * len(shapes) + j].grid.T * attenuation(P) for a in range(a0, a1)]), eps, prog, P)
-        assert [len(row) for row in reports] == [len(shapes)] * n_arrays
-        for a in range(n_arrays):
-            for j, (state, w) in enumerate(zip(states, want)):
-                assert_same_report(reports[a][j], program_plane_reference(w[a], planes[a * len(shapes) + j], eps, prog))
-                assert same_bits(state[a], w[a])
+            for j, spec in enumerate(specs):
+                plane = IdsPlane(spec, hw.output_spec, rng.choice([0.0, 0.3, rng.uniform()], (spec.levels, rows)))
+                report = program_plane(hw, a, j, plane, eps, prog)
+                assert_same_report(report, program_plane_reference(want[j][a], plane, eps, prog))
+                assert hw.reports[a][j] is report
+        assert all(same_bits(state, w) for state, w in zip(states_of(hw), want))
 
     @pytest.mark.parametrize("eps, budget", [(0.01, 10_000), (0.002, 10_000), (0.0, 40)])
     @pytest.mark.parametrize("cells", [216, 5])
@@ -737,13 +778,13 @@ class TestBatchedTwinMatchesReference:
         model = train_merged(samples, specs, out, StainRadii(2.5, 1.7))
         assert len(model.groups) == 7
         prog = ProgrammingParams(budget_per_cell=budget)
-        derive, slabs = Model.planes, []
+        derive, slabs = Model.plane_codes, []
 
-        def planes(self, j, g0, g1):
+        def plane_codes(self, j, g0, g1):
             slabs.append((j, g0, g1))
             return derive(self, j, g0, g1)
 
-        with patch.object(crossbar, "_PROGRAM_CELLS", cells), patch.object(Model, "planes", planes):
+        with patch.object(crossbar, "_PROGRAM_CELLS", cells), patch.object(Model, "plane_codes", plane_codes):
             got = program_from_model(model, eps, prog=prog)
         if cells == 216:
             assert slabs == [(0, 0, 3), (0, 3, 6), (0, 6, 7), (1, 0, 4), (1, 4, 7)]
@@ -813,24 +854,106 @@ class TestBatchedTwinMatchesReference:
         assert covered > 100
 
 
+def assert_reads_match_the_reference(hw, X):
+    """Every batch row, every single query and every column read of ``hw``
+    is bitwise the per-cell reference's."""
+    got = crossbar_infer(hw, X)
+    for value, q in zip(got, X):
+        try:
+            want = crossbar_infer_reference(hw, q)
+        except DividerUnderflowError:
+            assert np.isnan(value)
+            with pytest.raises(DividerUnderflowError):
+                crossbar_infer(hw, q)
+            continue
+        assert repr(float(value)) == repr(want) == repr(crossbar_infer(hw, q))
+    for j, codes in enumerate(hw.codes):
+        for g in range(len(codes)):
+            for col in (1, codes.shape[2] // 2 + 1, codes.shape[2]):
+                assert same_bits(read_column_voltages(hw, g, j, col), read_column_reference(hw, g, j, col))
+
+
+@st.composite
+def wide_models(draw):
+    """A train_full model of one or two samples on one or two inputs, with
+    axes of up to 200 levels and radii up to 1e6: wide radii that differ
+    give more than 255 distinct tent values."""
+    n_in = draw(st.integers(1, 2))
+    specs = [QuantizationSpec(0.0, 1.0, draw(st.integers(2, 200))) for _ in range(n_in)]
+    out = QuantizationSpec(0.0, 1.0, draw(st.integers(2, 200)))
+    radii = StainRadii(draw(st.floats(0.5, 1e6)), draw(st.floats(0.5, 1e6)))
+    unit = st.floats(0.0, 1.0)
+    samples = [Sample(tuple(draw(unit) for _ in range(n_in)), draw(unit)) for _ in range(draw(st.integers(1, 2)))]
+    return train_full(samples, specs, out, radii)
+
+
+WIDE = train_full([Sample((0.3,), 0.6), Sample((0.7,), 0.2)], [QuantizationSpec(0.0, 1.0, 200)],
+                  QuantizationSpec(0.0, 1.0, 190), StainRadii(199.0, 160.0))
+
+
+class TestPaletteWidening:
+    """Codes are the narrowest unsigned integers that hold them, and
+    widening them changes no bit of what the twin holds, reads or reports."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(wide_models(), st.floats(1e-4, 0.02), st.integers(0, 2**32 - 1))
+    @example(WIDE, 1e-3, 0)
+    def test_wide_tents_widen_the_codes(self, model, eps, seed):
+        for j in range(model.n_inputs):
+            values, codes = model.tent_values(j), model.plane_codes(j)
+            assert codes.dtype == np.min_scalar_type(len(values) - 1)
+            for g in range(len(model.groups)):
+                assert same_bits(model.plane(g, j).grid, plane_reference(model, g, j).grid)
+        hw = program_from_model(model, eps)
+        assert_same_hardware(hw, program_from_model_reference(model, eps))
+        assert [codes.dtype for codes in hw.codes] == [np.min_scalar_type(len(hw.palette) - 1)] * model.n_inputs
+        if model is WIDE:
+            assert len(model.tent_values(0)) > 256 and len(hw.palette) > 256
+            assert model.plane_codes(0).dtype == hw.codes[0].dtype == np.uint16
+        rng = np.random.default_rng(seed)
+        assert_reads_match_the_reference(hw, rng.uniform(-0.1, 1.1, (12, model.n_inputs)))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-4, 2e-3))
+    def test_reprogramming_grows_the_palette_past_one_byte(self, seed, eps):
+        """Random float targets, written array by array, settle to new
+        doped lengths until the palette outgrows uint8 codes; a tensor
+        widens once a code written into it does not fit."""
+        rng = np.random.default_rng(seed)
+        specs, out = [QuantizationSpec(0.0, 1.0, 8), QuantizationSpec(0.0, 1.0, 5)], OUT6
+        hw = program_from_model(Model([IdsGroup() for _ in range(2)], specs, out, StainRadii(1.0, 1.0)), eps)
+        want = states_of(hw)
+        for _ in range(100):
+            if len(hw.palette) > 256:
+                break
+            g, j = int(rng.integers(2)), int(rng.integers(2))
+            plane = IdsPlane(specs[j], out, rng.uniform(0.0, 1.0, (specs[j].levels, out.levels)))
+            assert_same_report(program_plane(hw, g, j, plane, eps), program_plane_reference(want[j][g], plane, eps))
+            assert all(codes.max() < len(hw.palette) for codes in hw.codes)
+        assert len(hw.palette) > 256 and np.uint16 in [codes.dtype for codes in hw.codes]
+        assert len(np.unique(hw.palette)) == len(hw.palette)
+        assert all(same_bits(state, w) for state, w in zip(states_of(hw), want))
+        assert_reads_match_the_reference(hw, rng.uniform(-0.1, 1.1, (12, 2)))
+
+
 class TestProgrammingMemory:
     def test_the_peak_stays_near_what_the_twin_holds(self):
-        """Targets are derived, keys built and outcomes written one bounded
-        slab of arrays at a time: a whole-model temporary (targets, start
-        states or per-cell pair indices) would lift the peak well past the
-        held states and exhausted masks, the only per-cell arrays a report
-        keeps."""
-        ds = gen_f2(50, 123)
-        specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
-        outs = [s.output for s in ds.samples]
-        model = train_full(ds.samples, specs, QuantizationSpec(min(outs), max(outs), 64), StainRadii(10.0, 10.0))
+        """Tent codes are derived, mapped to palette codes and counted one
+        bounded slab of arrays at a time: a whole-model temporary (targets,
+        float states or per-cell pair indices) would lift the peak well past
+        the held 1-byte codes and exhausted masks, the only per-cell arrays
+        a twin keeps.  The float twin held 9 bytes per cell and peaked at
+        1.5 times that; this one holds 2."""
+        model = twin_model()
         tracemalloc.start()
         try:
             hw = program_from_model(model, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(state.nbytes for state in hw.states) + sum(
+        cells = 50 * 2 * 64 * 64
+        held = sum(codes.nbytes for codes in hw.codes) + sum(
             r.budget_exhausted.nbytes for row in hw.reports for r in row)
-        assert held == 50 * 2 * 64 * 64 * (8 + 1)
-        assert peak <= 1.5 * held, f"traced peak {peak} B against {held} B held"
+        assert [codes.dtype for codes in hw.codes] == [np.uint8] * 2
+        assert held == cells * (1 + 1)
+        assert peak <= 2 * held <= 1.5 * cells * (8 + 1), f"traced peak {peak} B against {held} B held"
