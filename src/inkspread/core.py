@@ -9,6 +9,7 @@ the same number of grid cells regardless of the raw units of the variable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,18 @@ import numpy as np
 # levels on a model's output axis, and on every axis of a model file; this
 # bounds the kernel's output-axis tables (at most MAX_LEVELS ** 2 slots)
 MAX_LEVELS = 4096
+
+
+def _check_integer(value, name: str) -> None:
+    """Refuse a bool or a non-integral ``value``, naming it; numpy integers pass."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _index(i, n: int, name: str) -> int:
+    """Integer ``i`` as an index into ``n`` items, a negative one counting from the end."""
+    _check_integer(i, name)
+    return range(n)[i]
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,7 @@ class QuantizationSpec:
             raise ValueError(f"range bounds must be finite, got [{self.min}, {self.max}]")
         if not self.max > self.min:
             raise ValueError(f"max must exceed min, got [{self.min}, {self.max}]")
+        _check_integer(self.levels, "levels")
         if self.levels < 2:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
 

@@ -14,16 +14,18 @@ A twin holds codes, not states.  A cell's closed-loop trajectory depends
 only on its start state and its target, the targets are tent values, and a
 tent takes a handful of values, so a whole twin settles to a few distinct
 doped lengths (11 across the 409,600 cells of a 50-group, 64-level model).
-The twin keeps them once, in ``palette``, and every cell holds the index of
-its own, as the narrowest unsigned integer that indexes the palette: one
-byte, next to the one-byte exhausted mask of its programming report, where
-a float state took eight.  ``program_plane`` appends the outcomes the
-palette lacks, and a code tensor widens to two bytes when a code written
-into it passes 255 (a radius as wide as a 200-level axis, or repeated
-reprogramming, gets there).  Reads stay in code space: the min over inputs
-and the max over groups compare codes ranked by their read voltage, which
-select exactly the voltage the float cascade would, and only the winner
-becomes a voltage (``crossbar_infer`` says why that is bitwise).
+The twin keeps them once, in ``palette``, in order of read voltage, and
+every cell holds the index of its own, as the narrowest unsigned integer
+that indexes the palette: one byte, next to the one-byte exhausted mask of
+its programming report, where a float state took eight.  One writer,
+``_merge_palette``, keeps that order: both programming functions merge
+their outcomes through it, and when ``program_plane`` grows the palette,
+every code tensor is remapped to the new order and widened if the palette
+outgrew its type (a radius as wide as a 200-level axis, or repeated
+reprogramming, passes 256 entries).  Because a higher code never reads a
+lower voltage, ``crossbar_infer`` takes the min over inputs and the max
+over groups on the codes themselves, and only the winner becomes a voltage
+(it says why that is bitwise).
 
 The device follows the linear-drift model: memristance interpolates between
 R_on (fully doped, w = D) and R_off (undoped, w = 0), and the state moves
@@ -42,12 +44,11 @@ ladder realizes its integer gains exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuantizationSpec, dequantize, quantize_many
+from .core import QuantizationSpec, _check_integer, _index, dequantize, quantize_many
 from .errors import DividerUnderflowError
 from .model import IdsPlane, Model
 
@@ -155,9 +156,7 @@ class ProgrammingParams:
 
     def __post_init__(self):
         for name in ("substeps", "budget_per_cell"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integer(getattr(self, name), name)
         if not (math.isfinite(self.v_prog) and math.isfinite(self.base_width)):
             raise ValueError("v_prog and base_width must be finite")
         if self.v_prog <= 0 or self.base_width <= 0:
@@ -197,9 +196,9 @@ def read_column_voltages(hw: HardwareModel, g: int, j: int, col: int) -> np.ndar
     array for input j, for one selected 1-based column.  ``g`` and ``j``
     count from 0, a negative one from the end; ``col`` is an integer, and
     a bool is refused."""
-    codes = hw.codes[j][range(len(hw.codes[j]))[g]]
-    if not isinstance(col, numbers.Integral) or isinstance(col, bool):
-        raise ValueError(f"column must be an integer, got {col!r}")
+    codes = hw.codes[_index(j, len(hw.codes), "input j")]
+    codes = codes[_index(g, len(codes), "group g")]
+    _check_integer(col, "column")
     if not 1 <= col <= codes.shape[1]:
         raise ValueError(f"column {col} outside 1..{codes.shape[1]}")
     # the read law is elementwise, so reading the palette once and taking
@@ -261,19 +260,16 @@ def _code_dtype(n: int) -> np.dtype:
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def _intern(palette: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The palette with each doped length of ``w`` it lacks appended, once,
-    and the code of every length of ``w`` in it.  Entries already held
-    keep their codes."""
-    order = np.argsort(palette, kind="stable")
-    at = np.searchsorted(palette[order], w)
-    held = at < len(palette)
-    held[held] = palette[order[at[held]]] == w[held]
-    new, new_codes = np.unique(w[~held], return_inverse=True)
-    codes = np.empty(len(w), dtype=np.intp)
-    codes[held] = order[at[held]]
-    codes[~held] = len(palette) + new_codes
-    return np.concatenate([palette, new]), codes
+def _merge_palette(palette: np.ndarray, w: np.ndarray, params: DeviceParams,
+                   v_read: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The palette with the doped lengths ``w`` merged in, each distinct
+    length once, sorted stably by read voltage, and the new codes of the old
+    entries and of ``w``.  The order is fixed by the set of lengths, so
+    merging in lengths already held changes no code."""
+    merged, inverse = np.unique(np.concatenate([palette, w]), return_inverse=True)
+    order = np.argsort(_read_voltages(merged, params, v_read), kind="stable")
+    codes = np.argsort(order).astype(_code_dtype(len(merged)))[inverse]
+    return merged[order], codes[:len(palette)], codes[len(palette):]
 
 
 def _reports(counts: np.ndarray, pulses: np.ndarray, residuals: np.ndarray,
@@ -305,13 +301,14 @@ def program_plane(
     factor; cells are driven until within ``epsilon`` of it or out of pulse
     budget.  A cell's trajectory depends only on its start state and its
     target, so the controller settles each distinct (start code, target)
-    pair once; the outcomes the palette lacks are appended to it, and the
-    array's code tensor widens if its codes no longer fit.  The report
-    replaces ``hw.reports[g][j]`` and is returned.  A degree outside
-    [0, 1], NaN and +-inf included, raises ValueError.
+    pair once, and the outcomes are merged into the palette.  Only when
+    that changes the palette are the code tensors of every input remapped;
+    otherwise the write touches this array alone.  The report replaces
+    ``hw.reports[g][j]`` and is returned.  A degree outside [0, 1], NaN and
+    +-inf included, raises ValueError.
     """
-    codes, p = hw.codes[j], hw.params
-    g = range(len(codes))[g]
+    codes, p = hw.codes[_index(j, len(hw.codes), "input j")], hw.params
+    g = _index(g, len(codes), "group g")
     if codes.shape[1:] != (target.output_spec.levels, target.input_spec.levels):
         raise ValueError(
             f"array {codes.shape[1]}x{codes.shape[2]} cannot hold plane "
@@ -324,45 +321,31 @@ def program_plane(
     t, t_codes = np.unique((target.grid.T * attenuation(p)).ravel(), return_inverse=True)
     keys, pair = np.unique(codes[g].ravel().astype(np.intp) * len(t) + t_codes, return_inverse=True)
     w, pulses, residuals, exhausted = _settle(hw.palette[keys // len(t)], t[keys % len(t)], epsilon, prog, p)
-    hw.palette, new_codes = _intern(hw.palette, w)
-    wide = np.promote_types(codes.dtype, _code_dtype(len(hw.palette)))
-    if wide != codes.dtype:
-        hw.codes[j] = codes = codes.astype(wide)
-    codes[g] = new_codes[pair].reshape(codes.shape[1:])
+    palette, old_codes, new_codes = _merge_palette(hw.palette, w, p, hw.v_read)
+    if not np.array_equal(palette, hw.palette):
+        hw.palette, hw.codes[:] = palette, [old_codes[c] for c in hw.codes]
+    hw.codes[j][g] = new_codes[pair].reshape(codes.shape[1:])
     report, = _reports(np.bincount(pair, minlength=len(keys))[None], pulses, residuals,
                        exhausted[pair].reshape(1, *codes.shape[1:]))
     hw.reports[g][j] = report
     return report
 
 
-def _diode_network(voltages, name: str, axis: int | None, reduce):
-    """The min or max a diode network takes, before its forward drop."""
-    vs = np.asarray(voltages if axis is not None else [float(v) for v in voltages], dtype=float)
-    if vs.size == 0:
-        raise ValueError(f"{name} needs at least one input voltage")
-    v = reduce(vs, axis=axis)
-    return float(v) if axis is None else v
+def diode_min(voltages, drop: float = 0.7, *, axis: int) -> np.ndarray:
+    """Diode-network minimum: min of the inputs plus the forward drop.  The
+    array holds one network per index of its other axes and is reduced
+    along ``axis``, which must not be empty."""
+    return np.min(np.asarray(voltages, dtype=float), axis=axis) + drop
 
 
-def diode_min(voltages, drop: float = 0.7, axis: int | None = None):
-    """Diode-network minimum: min of the inputs plus the forward drop.
-
-    A flat sequence of voltages gives one float; with ``axis``, an array
-    holds one network per index of its other axes and is reduced along it.
-    """
-    return _diode_network(voltages, "diode_min", axis, np.min) + drop
+def diode_max(voltages, drop: float = 0.7, *, axis: int) -> np.ndarray:
+    """Diode-network maximum: max of the inputs minus the forward drop.  The
+    array holds one network per index of its other axes and is reduced
+    along ``axis``, which must not be empty."""
+    return np.max(np.asarray(voltages, dtype=float), axis=axis) - drop
 
 
-def diode_max(voltages, drop: float = 0.7, axis: int | None = None):
-    """Diode-network maximum: max of the inputs minus the forward drop.
-
-    A flat sequence of voltages gives one float; with ``axis``, an array
-    holds one network per index of its other axes and is reduced along it.
-    """
-    return _diode_network(voltages, "diode_max", axis, np.max) - drop
-
-
-def defuzz_circuit(mu_voltages, n_y: int, floor: float = 0.0):
+def defuzz_circuit(mu_voltages, n_y: int, floor: float = 0.0) -> np.ndarray:
     """Two-stage adder plus divider: returns the confidence-weighted level index.
 
     Stage 1 is an inverting adder whose feedback resistor n_y*R against
@@ -372,24 +355,18 @@ def defuzz_circuit(mu_voltages, n_y: int, floor: float = 0.0):
     The ladder's unit resistance R cancels algebraically, so no value of it
     enters the result.
 
-    ``mu_voltages`` is one circuit's n_y level voltages, or a (batch, n_y)
-    array with one circuit per row.  When |stage2| is at or below
-    ``floor``, the analog counterpart of an uncovered query, one circuit
-    raises DividerUnderflowError and a batch row reads NaN.
+    ``mu_voltages`` is a (batch, n_y) array, one circuit's level voltages
+    per row, and one output is returned per row.  A row whose |stage2| is at
+    or below ``floor``, the analog counterpart of an uncovered query, reads
+    NaN.
     """
-    # each row's sums run along contiguous memory, as one circuit's do
+    # each row's sums run along contiguous memory
     mu = np.ascontiguousarray(mu_voltages, dtype=float)
-    if mu.ndim not in (1, 2) or mu.shape[-1] != n_y:
-        raise ValueError(f"expected {n_y} level voltages, got shape {mu.shape}")
-    stage1 = -np.sum(mu * np.arange(1, n_y + 1), axis=-1)
-    stage2 = -np.sum(mu, axis=-1)
+    if mu.ndim != 2 or mu.shape[1] != n_y:
+        raise ValueError(f"expected (batch, {n_y}) level voltages, got shape {mu.shape}")
+    stage1 = -np.sum(mu * np.arange(1, n_y + 1), axis=1)
+    stage2 = -np.sum(mu, axis=1)
     under = np.abs(stage2) <= floor
-    if mu.ndim == 1:
-        if under:
-            raise DividerUnderflowError(
-                f"divider denominator {abs(stage2):.3e} at or below floor {floor:.3e}"
-            )
-        return float(stage1) / float(stage2)
     return np.where(under, np.nan, stage1 / np.where(under, 1.0, stage2))
 
 
@@ -398,12 +375,13 @@ class HardwareModel:
     """A Model programmed onto crossbars, one per (group, input variable).
 
     Every cell holds a code into ``palette``, the distinct doped lengths
-    programming has settled cells to.  ``codes[j]`` holds input j's arrays,
-    one per group, shaped (groups, output levels, input levels), as the
-    narrowest unsigned integers that held its codes when they were
-    written.  Every array reads through the same device and read
-    constants, and ``reports[g][j]`` is the programming report of group
-    g's array for input j.
+    programming has settled cells to, in order of read voltage: a higher
+    code never reads a lower voltage.  ``codes[j]`` holds input j's arrays,
+    one per group, shaped (groups, output levels, input levels), and every
+    code tensor has the narrowest unsigned type that indexes the palette.
+    Every array reads through the same device and read constants, and
+    ``reports[g][j]`` is the programming report of group g's array for
+    input j.
     """
 
     codes: list[np.ndarray]
@@ -440,12 +418,12 @@ def program_from_model(
     Every array starts fresh, at R_on, so a cell's outcome depends only on
     its target, a tent value scaled by the attenuation factor: the write
     controller settles each distinct target of every input once, and the
-    palette holds the distinct doped lengths they settle to.  Then, one
-    slab of at most ``_PROGRAM_CELLS`` cells (or one array) at a time, the
-    slab's tent codes are derived from its groups' stains
-    (``Model.plane_codes``) and mapped to palette codes, and each array's
-    report is reduced from how many of its cells hold each target, so no
-    whole-model temporary is built.  Reads need 0 < v_read < V_th: at a
+    palette holds the distinct doped lengths they settle to, in order of
+    read voltage.  Then, one slab of at most ``_PROGRAM_CELLS`` cells (or
+    one array) at a time, the slab's tent codes are derived from its groups'
+    stains (``Model.plane_codes``) and mapped to palette codes, and each
+    array's report is reduced from how many of its cells hold each target,
+    so no whole-model temporary is built.  Reads need 0 < v_read < V_th: at a
     negative bias a fresh cell would outread every programmed one.  The min
     stage adds the diode drop and the max stage takes it off, so a drop
     beyond [0, V_th] would only round away the read voltages.
@@ -459,11 +437,7 @@ def program_from_model(
     values = [model.tent_values(j) for j in range(model.n_inputs)]
     t, target_of = np.unique(np.concatenate(values) * att, return_inverse=True)
     w, pulses, residuals, exhausted = _settle(np.full(len(t), params.D), t, epsilon, prog, params)
-    # the distinct outcomes in order of read voltage, so that a read finds
-    # its codes are ranks already
-    palette, code_of = np.unique(w, return_inverse=True)
-    order = np.argsort(_read_voltages(palette, params, v_read), kind="stable")
-    palette, code_of = palette[order], np.argsort(order).astype(_code_dtype(len(palette)))[code_of]
+    palette, _, code_of = _merge_palette(np.empty(0), w, params, v_read)
     codes, reports = [], [[None] * model.n_inputs for _ in range(n_g)]
     for j, (spec, tent_t) in enumerate(zip(model.input_specs,
                                            np.split(target_of, np.cumsum([len(v) for v in values])[:-1]))):
@@ -497,17 +471,17 @@ def crossbar_infer(hw: HardwareModel, x):
     underflows or an input is NaN; the other rows do not depend on it.
 
     The batch is read as the hardware reads it, every array at once, but in
-    code space: the palette's read voltages are computed once, and every
-    code is ranked by its voltage (``program_from_model`` orders the
-    palette so that codes are ranks already).  Per input, the distinct selected
-    columns of its code tensor are taken once as ranks, a bounded slab of
-    groups at a time, and each query gathers its rows from them.  The
-    queries then pass, a chunk at a time, through the min over inputs and
-    the max over groups on those small integers, and only the winning rank
-    becomes a voltage.  That is bitwise the float cascade: a min or max of
-    values from one set selects one of them, ranking by the voltages
-    themselves needs no monotone read law, and rounding to nearest is
-    monotone, so max_g fl(v_g + drop) = fl(max_g v_g + drop).
+    code space: the palette's read voltages are computed once, and they
+    never fall as the code rises (a twin whose palette breaks that order
+    raises ValueError).  Per input, the distinct selected columns of its
+    code tensor are taken once, a bounded slab of groups at a time, and
+    each query gathers its rows from them.  The queries then pass, a chunk
+    at a time, through the min over inputs and the max over groups on those
+    small integers, and only the winning code becomes a voltage.  That is
+    bitwise the float cascade: a min or max of values from one set selects
+    one of them, the code order is the voltage order (codes of equal
+    voltage read the same value), and rounding to nearest is monotone, so
+    max_g fl(v_g + drop) = fl(max_g v_g + drop).
     """
     X = np.asarray(x, dtype=float)
     n_in = len(hw.input_specs)
@@ -524,28 +498,23 @@ def crossbar_infer(hw: HardwareModel, x):
     out, n_g = hw.output_spec, len(hw.codes[0]) if hw.codes else 0
     X = np.where(nan[:, None], [spec.min for spec in hw.input_specs], X)
     n_y = out.levels
-    # per input: the ranks of each distinct selected column, (cols, groups,
+    # per input: the codes of each distinct selected column, (cols, groups,
     # rows), taken a bounded slab of groups at a time, and each query's
     # index into them
-    reads, rank = [], None
+    reads = []
     if n_g:
         volts = _read_voltages(hw.palette, hw.params, hw.v_read)
-        # codes are ranks already where the voltages rise with them, as
-        # program_from_model orders them; else each code takes its rank
-        # among the distinct voltages
-        if not (volts[1:] > volts[:-1]).all():
-            volts, rank = np.unique(volts, return_inverse=True)
-            rank = rank.astype(_code_dtype(len(volts)))
-        # min and max are taken on ranks, so each diode network's winner passes
+        if not (volts[1:] >= volts[:-1]).all():
+            raise ValueError("the twin's palette is not in order of read voltage")
+        # min and max are taken on codes, so each diode network's winner passes
         # its forward drop alone: the min stage adds it, the max stage takes it off
-        level_of_rank = diode_max(diode_min(volts[None], hw.diode_drop, axis=0)[None], hw.diode_drop, axis=0)
+        level_of_code = diode_max(diode_min(volts[None], hw.diode_drop, axis=0)[None], hw.diode_drop, axis=0)
     for j, (spec, codes) in enumerate(zip(hw.input_specs, hw.codes) if n_g else ()):
         cols, inverse = np.unique(quantize_many(spec, X[:, j]) - 1, return_inverse=True)
-        block = np.empty((len(cols), n_g, n_y), dtype=codes.dtype if rank is None else rank.dtype)
+        block = np.empty((len(cols), n_g, n_y), dtype=codes.dtype)
         slab = max(1, _READ_ELEMENTS // max(1, len(cols) * n_y))
         for g0 in range(0, n_g, slab):
-            taken = codes[g0:g0 + slab].take(cols, axis=2)
-            block[:, g0:g0 + slab] = (taken if rank is None else rank[taken]).transpose(2, 0, 1)
+            block[:, g0:g0 + slab] = codes[g0:g0 + slab].take(cols, axis=2).transpose(2, 0, 1)
         reads.append((block, inverse))
     levels = np.empty(len(X))
     step = max(1, _READ_ELEMENTS // (n_in * max(1, n_g) * n_y))
@@ -553,8 +522,8 @@ def crossbar_infer(hw: HardwareModel, x):
         rows = slice(b0, b0 + step)
         if reads:
             # (queries, groups, rows) per input: min over inputs, max over groups
-            ranks = np.minimum.reduce([block[inverse[rows]] for block, inverse in reads]).max(axis=1)
-            level_mu = level_of_rank[ranks]
+            winners = np.minimum.reduce([block[inverse[rows]] for block, inverse in reads]).max(axis=1)
+            level_mu = level_of_code[winners]
         else:
             level_mu = np.zeros((len(X[rows]), n_y))
         levels[rows] = np.clip(defuzz_circuit(level_mu, n_y, floor=hw.divider_floor), 1.0, n_y)

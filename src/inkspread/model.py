@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_LEVELS, QuantizationSpec, StainRadii, quantize, quantize_many
+from .core import MAX_LEVELS, QuantizationSpec, StainRadii, _index, quantize, quantize_many
 from .errors import EqualOutputConflict, NoCoverageError
 from .inference import _extend_plan, _plan, infer
 
@@ -231,13 +231,14 @@ class Model:
 
     def _span(self, g: int) -> tuple[int, int]:
         """Where group ``g``'s stains begin and end; a negative ``g`` counts from the end."""
-        g = range(len(self._offsets) - 1)[g]
+        g = _index(g, len(self._offsets) - 1, "group g")
         return self._offsets[g], self._offsets[g + 1]
 
     def tent_values(self, j: int) -> np.ndarray:
         """The distinct values plane ``j``'s cells can hold, sorted, 0 first:
         ``plane_codes`` indexes them."""
-        return _tent_codes(self._radii, self._input_specs[j].levels, self._output_spec.levels)[0]
+        return _tent_codes(self._radii, self._input_specs[_index(j, self.n_inputs, "input j")].levels,
+                           self._output_spec.levels)[0]
 
     def plane_codes(self, j: int, g0: int = 0, g1: int | None = None) -> np.ndarray:
         """Plane ``j`` (0-based) of groups ``g0:g1`` as codes into
@@ -253,7 +254,7 @@ class Model:
         a plane land in a spare last row and column, which the returned view
         leaves out.
         """
-        n_in, n_out = self._input_specs[j].levels, self._output_spec.levels
+        n_in, n_out = self._input_specs[_index(j, self.n_inputs, "input j")].levels, self._output_spec.levels
         span = range(len(self._offsets) - 1)[g0:g1]
         offsets = self._offsets[span.start:span.stop + 1]
         sizes = np.diff(offsets)
@@ -276,8 +277,8 @@ class Model:
         return self.tent_values(j)[self.plane_codes(j, g0, g1)].transpose(0, 2, 1)
 
     def plane(self, g: int, j: int) -> IdsPlane:
-        """Plane ``j`` of group ``g`` (0-based; a negative ``g`` counts from the end)."""
-        g = range(len(self._offsets) - 1)[g]
+        """Plane ``j`` of group ``g`` (0-based; a negative one counts from the end)."""
+        g, j = _index(g, len(self._offsets) - 1, "group g"), _index(j, self.n_inputs, "input j")
         return IdsPlane(self._input_specs[j], self._output_spec, self.planes(j, g, g + 1)[0].copy())
 
     def input_stacks(self) -> list[np.ndarray]:

@@ -9,7 +9,10 @@ Planes have their own oracle: each stain's window written one stain at a
 time, by its own arithmetic.  The crossbar twin has its own references:
 the write controller run array by array over every cell, the analog read
 cascade run one array and one diode stage at a time, and the idealised
-programming that sets every cell straight to its encoded target.
+programming that sets every cell straight to its encoded target.  They use
+their own copies of the device law, the attenuation, the read law and the
+divider, written in the production operation order, and import only the
+twin's dataclasses.
 """
 
 from __future__ import annotations
@@ -20,17 +23,8 @@ import math
 import numpy as np
 
 from inkspread.core import QuantizationSpec, StainRadii, dequantize, quantize
-from inkspread.crossbar import (
-    DeviceParams,
-    HardwareModel,
-    ProgrammingParams,
-    ProgrammingReport,
-    _memristance_of_w,
-    _w_of_memristance,
-    attenuation,
-    defuzz_circuit,
-)
-from inkspread.errors import NoCoverageError
+from inkspread.crossbar import DeviceParams, HardwareModel, ProgrammingParams, ProgrammingReport
+from inkspread.errors import DividerUnderflowError, NoCoverageError
 from inkspread.model import IdsPlane, Model, Sample
 
 
@@ -166,6 +160,21 @@ def plane_reference(model: Model, g: int, j: int) -> IdsPlane:
     return plane
 
 
+def _memristance_of_w(w: np.ndarray, p: DeviceParams) -> np.ndarray:
+    """The linear-drift law R_on*(w/D) + R_off*(1 - w/D)."""
+    frac = w / p.D
+    return p.R_on * frac + p.R_off * (1.0 - frac)
+
+
+def _w_of_memristance(r: np.ndarray, p: DeviceParams) -> np.ndarray:
+    return p.D * (p.R_off - r) / (p.R_off - p.R_on)
+
+
+def _attenuation(p: DeviceParams) -> float:
+    """The factor 1 - R_on/R_off by which the readout scales every degree."""
+    return 1.0 - p.R_on / p.R_off
+
+
 def program_plane_reference(
     w: np.ndarray,
     target: IdsPlane,
@@ -175,7 +184,7 @@ def program_plane_reference(
 ) -> ProgrammingReport:
     """Program-and-verify one array of doped lengths ``w`` (rows, cols) in
     place, every cell stepped each iteration."""
-    target_c = target.grid.T * attenuation(p)
+    target_c = target.grid.T * _attenuation(p)
     r2 = _memristance_of_w(w, p) ** 2
     width = np.full(w.shape, prog.base_width)
     prev_sign = np.zeros(w.shape)
@@ -218,7 +227,7 @@ def program_plane_exact(w: np.ndarray, target: IdsPlane, p: DeviceParams = Devic
     path agrees with the ideal pipeline once programming error is out of
     the picture.
     """
-    r = p.R_on / (1.0 - target.grid.T * attenuation(p))
+    r = p.R_on / (1.0 - target.grid.T * _attenuation(p))
     w[...] = np.clip(_w_of_memristance(r, p), 0.0, p.D)
 
 
@@ -231,12 +240,14 @@ def states_of(hw: HardwareModel) -> list[np.ndarray]:
 def with_states(hw: HardwareModel, states: list[np.ndarray]) -> HardwareModel:
     """A twin like ``hw`` whose cells hold the doped lengths ``states``, one
     (groups, rows, cols) array per input, coded into a palette of their
-    distinct values."""
-    palette, codes = np.unique(np.concatenate([state.ravel() for state in states]), return_inverse=True)
-    codes = np.split(codes.astype(np.min_scalar_type(max(len(palette) - 1, 0))),
+    distinct values in order of read voltage: ascending lengths, stably
+    sorted by the voltage each reads."""
+    lengths, codes = np.unique(np.concatenate([state.ravel() for state in states]), return_inverse=True)
+    order = np.argsort(read_voltages_reference(lengths, hw), kind="stable")
+    codes = np.split(np.argsort(order).astype(np.min_scalar_type(max(len(lengths) - 1, 0)))[codes],
                      np.cumsum([state.size for state in states])[:-1])
     return dataclasses.replace(hw, codes=[c.reshape(state.shape) for c, state in zip(codes, states)],
-                               palette=palette)
+                               palette=lengths[order])
 
 
 def _twin(states: list[np.ndarray], model: Model, params: DeviceParams, v_read: float, diode_drop: float,
@@ -281,16 +292,27 @@ def program_from_model_exact(
     return _twin(states, model, params, v_read, diode_drop, [])
 
 
-def _read_law(w: np.ndarray, hw: HardwareModel) -> np.ndarray:
+def read_voltages_reference(w: np.ndarray, hw: HardwareModel) -> np.ndarray:
     """The op-amp output voltages of cells with doped lengths ``w``:
     v_read + v_read*(-R_on/R_m)."""
     r = _memristance_of_w(w, hw.params)
     return hw.v_read + hw.v_read * (-(hw.params.R_on / r))
 
 
+def divider_reference(mu: np.ndarray, n_y: int, floor: float) -> float:
+    """The two-stage adder and divider on one circuit's n_y level voltages:
+    stage 1 weights level i by -i, stage 2 sums with gain -1, and a
+    |stage 2| at or below ``floor`` underflows."""
+    stage1 = -np.sum(mu * np.arange(1, n_y + 1))
+    stage2 = -np.sum(mu)
+    if abs(stage2) <= floor:
+        raise DividerUnderflowError(f"reference: divider denominator {abs(stage2):.3e} at or below {floor:.3e}")
+    return float(stage1) / float(stage2)
+
+
 def read_column_reference(hw: HardwareModel, g: int, j: int, col: int) -> np.ndarray:
     """One 1-based column of array (g, j), read cell by cell from its doped lengths."""
-    return _read_law(states_of(hw)[j][g][:, col - 1], hw)
+    return read_voltages_reference(states_of(hw)[j][g][:, col - 1], hw)
 
 
 def crossbar_infer_reference(hw: HardwareModel, x) -> float:
@@ -306,9 +328,9 @@ def crossbar_infer_reference(hw: HardwareModel, x) -> float:
         for g in range(n_g):
             plane_vs = []
             for j, state in enumerate(states):
-                plane_vs.append(_read_law(state[g][:, cols[j] - 1], hw))
+                plane_vs.append(read_voltages_reference(state[g][:, cols[j] - 1], hw))
             group_mins.append(np.minimum.reduce(plane_vs) + hw.diode_drop)
         level_mu = np.maximum.reduce(group_mins) - hw.diode_drop
-    level = defuzz_circuit(level_mu, n_y, floor=hw.divider_floor)
+    level = divider_reference(level_mu, n_y, hw.divider_floor)
     level = min(max(level, 1.0), float(n_y))
     return dequantize(hw.output_spec, level)

@@ -319,8 +319,8 @@ def test_defuzzifier_properties(capsys):
             np.round(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 7))) / grid) * grid
             for _ in range(int(rng.integers(1, 5)))
         ]
-        lifted = [diode_min(seg, drop) for seg in segments]
-        got = diode_max(lifted, drop)
+        lifted = [diode_min(seg, drop, axis=0) for seg in segments]
+        got = diode_max(lifted, drop, axis=0)
         want = max(float(np.min(seg)) for seg in segments)
         diode_ok = diode_ok and got == want
 

@@ -57,6 +57,18 @@ def workdir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def twin_model_path(workdir):
+    """The twin model of the benchmark's crossbar-twin workload: the
+    50-sample f2 model at 64 levels and radii of 10."""
+    ds = gen_f2(50, 123)
+    specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
+    outs = [s.output for s in ds.samples]
+    model = train_full(ds.samples, specs, QuantizationSpec(min(outs), max(outs), 64), StainRadii(10.0, 10.0))
+    save_model(model, workdir / "twin.ids")
+    return workdir / "twin.ids"
+
+
+@pytest.fixture(scope="module")
 def model_path(workdir):
     out = workdir / "fixture.ids"
     rc = cli.main(["train", "--config", str(workdir / "run.conf"), "--out", str(out)])
@@ -454,14 +466,8 @@ class TestCompareHw:
         assert done.returncode == EXIT_OK
         assert done.stderr == ""
 
-    def test_pulse_count_of_the_twin_model(self, tmp_path, monkeypatch, capsys):
-        # the twin model of the benchmark's crossbar-twin workload, at the
-        # default settings: every programmed cell's pulses, over the sweep
-        ds = gen_f2(50, 123)
-        specs = [QuantizationSpec(lo, hi, 64) for lo, hi in ds.input_ranges]
-        outs = [s.output for s in ds.samples]
-        model = train_full(ds.samples, specs, QuantizationSpec(min(outs), max(outs), 64), StainRadii(10.0, 10.0))
-        save_model(model, tmp_path / "twin.ids")
+    def test_pulse_count_of_the_twin_model(self, twin_model_path, monkeypatch, capsys):
+        # every programmed cell's pulses over the sweep, at the default settings
         programmed = []
         program = cli.program_from_model
 
@@ -470,10 +476,23 @@ class TestCompareHw:
             return programmed[-1]
 
         monkeypatch.setattr(cli, "program_from_model", capture)
-        rc = cli.main(["compare-hw", "--model", str(tmp_path / "twin.ids"), "--queries", "3",
+        rc = cli.main(["compare-hw", "--model", str(twin_model_path), "--queries", "3",
                        "--sweep", "0.01,0.002"])
         assert rc == EXIT_OK and capsys.readouterr().err == ""
         assert sum(rep.total_pulses for hw in programmed for row in hw.reports for rep in row) == 677_909
+
+    def test_the_twin_model_report_is_pinned(self, twin_model_path, tmp_path, capsys):
+        """Every figure of each epsilon's entry, to the bit."""
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare-hw", "--model", str(twin_model_path), "--queries", "200",
+                       "--sweep", "0.01,0.002", "--set", "seed=3", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        got = [(r["epsilon"], r["compared"], r["underflow_count"], r["no_coverage_count"],
+                repr(r["max_abs_deviation"]), repr(r["mean_abs_deviation"]))
+               for r in json.loads(out.read_text())["results"]]
+        assert got == [(0.01, 196, 4, 4, "0.014943531079974592", "0.0010707122888105026"),
+                       (0.002, 196, 4, 4, "0.0020831597249810763", "0.0001867047423267151")]
 
     def test_zero_queries_compare_nothing(self, model_path, tmp_path, capsys):
         out = tmp_path / "cmp.json"

@@ -139,6 +139,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuantizationSpec(0, 1, 1)
 
+    @pytest.mark.parametrize("levels", [3.5, 3.0, float("nan"), float("inf"), True, np.bool_(True), "3", None])
+    def test_levels_that_are_not_an_integer_rejected(self, levels):
+        # a 3.5-level spec trained and inferred, then failed to save or program
+        with pytest.raises(ValueError, match=f"levels must be an integer, got {levels!r}"):
+            QuantizationSpec(0, 1, levels)
+
+    @pytest.mark.parametrize("levels", [np.int64(5), np.int32(5), np.uint16(5)])
+    def test_numpy_integer_levels_accepted(self, levels):
+        spec = QuantizationSpec(0, 1, levels)
+        assert spec.levels == 5 and spec.step == 0.25 and quantize(spec, 1.0) == 5
+
     def test_step_property(self):
         assert QuantizationSpec(0, 9, 10).step == 1.0
 

@@ -1,5 +1,6 @@
 """Device model, closed-loop programming, analog stages, end-to-end twin."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -36,6 +37,7 @@ from inkspread.model import IdsGroup, IdsPlane, Model, Sample, diffuse, train_fu
 
 from reference import (
     crossbar_infer_reference,
+    divider_reference,
     empty_plane,
     plane_reference,
     program_from_model_exact,
@@ -43,6 +45,7 @@ from reference import (
     program_plane_exact,
     program_plane_reference,
     read_column_reference,
+    read_voltages_reference,
     states_of,
     with_states,
 )
@@ -331,6 +334,26 @@ class TestProgramPlane:
             read_column_voltages(hw, g, j, 1)
         assert np.all(states_of(hw)[0] == P.D)
 
+    @pytest.mark.parametrize("g, j, name", [(True, 0, "group g"), (np.bool_(True), 0, "group g"),
+                                            (1.0, 0, "group g"), ("1", 0, "group g"), (None, 0, "group g"),
+                                            (0, True, "input j"), (0, False, "input j"), (0, 0.0, "input j")])
+    def test_an_index_that_is_not_an_integer_rejected(self, g, j, name):
+        # True read and programmed group 1 of a two-group twin, or input 1
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=2)
+        value = g if name == "group g" else j
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            program_plane(hw, g, j, stain_plane(), 0.01)
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            read_column_voltages(hw, g, j, 1)
+        assert np.all(states_of(hw)[0] == P.D)
+        assert all(r.total_pulses == 0 for row in hw.reports for r in row)
+
+    def test_numpy_integer_indices_accepted(self):
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=3)
+        report = program_plane(hw, np.int64(1), np.uint8(0), stain_plane(), 0.01)
+        assert hw.reports[1][0] is report and report.total_pulses > 0
+        assert same_bits(read_column_voltages(hw, np.int32(-2), np.int64(0), 5), read_column_voltages(hw, 1, 0, 5))
+
     def test_dimension_mismatch_rejected(self):
         hw = fresh_twin(3, 3)
         with pytest.raises(ValueError):
@@ -380,25 +403,31 @@ class TestProgramPlane:
 
 class TestDiodeStages:
     def test_min_adds_drop(self):
-        assert diode_min([0.3, 0.7], 0.7) == pytest.approx(1.0)
+        assert diode_min([0.3, 0.7], 0.7, axis=0) == pytest.approx(1.0)
 
     def test_single_input(self):
-        assert diode_min([0.2], 0.7) == pytest.approx(0.9)
-        assert diode_max([0.2], 0.7) == pytest.approx(-0.5)
+        assert diode_min([0.2], 0.7, axis=0) == pytest.approx(0.9)
+        assert diode_max([0.2], 0.7, axis=0) == pytest.approx(-0.5)
 
     def test_max_subtracts_drop(self):
-        assert diode_max([0.87, 1.04], 0.7) == pytest.approx(0.34)
+        assert diode_max([0.87, 1.04], 0.7, axis=0) == pytest.approx(0.34)
 
     def test_permutation_invariance(self):
         vs = [0.11, 0.93, 0.41, 0.67]
-        assert diode_min(vs) == diode_min(list(reversed(vs)))
-        assert diode_max(vs) == diode_max(sorted(vs))
+        assert diode_min(vs, axis=0) == diode_min(list(reversed(vs)), axis=0)
+        assert diode_max(vs, axis=0) == diode_max(sorted(vs), axis=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            diode_min([])
+            diode_min([], axis=0)
         with pytest.raises(ValueError):
-            diode_max([])
+            diode_max([], axis=0)
+
+    def test_the_axis_is_required(self):
+        with pytest.raises(TypeError):
+            diode_min([0.3, 0.7], 0.7)
+        with pytest.raises(TypeError):
+            diode_max([0.3, 0.7], 0.7)
 
     def test_cascade_cancellation_on_grid_voltages_is_exact(self):
         rng = np.random.default_rng(42)
@@ -406,7 +435,7 @@ class TestDiodeStages:
         for _ in range(300):
             groups = [rng.integers(0, 2 ** 20, size=rng.integers(1, 5)) / 2.0 ** 20
                       for _ in range(rng.integers(1, 6))]
-            cascade = diode_max([diode_min(g, drop) for g in groups], drop)
+            cascade = diode_max([diode_min(g, drop, axis=0) for g in groups], drop, axis=0)
             assert cascade == max(min(g) for g in groups)
 
     def test_an_axis_reduces_one_network_per_remaining_index(self):
@@ -414,8 +443,8 @@ class TestDiodeStages:
         assert same_bits(diode_min(vs, 0.7, axis=0), vs.min(axis=0) + 0.7)
         assert same_bits(diode_max(vs, 0.7, axis=1), vs.max(axis=1) - 0.7)
         cascade = diode_max(diode_min(vs, 0.7, axis=0), 0.7, axis=0)
-        assert same_bits(cascade, np.array([diode_max([diode_min(vs[:, g, t], 0.7) for g in range(2)], 0.7)
-                                            for t in range(2)]))
+        assert same_bits(cascade, np.array([diode_max([diode_min(vs[:, g, t], 0.7, axis=0) for g in range(2)],
+                                                      0.7, axis=0) for t in range(2)]))
 
     def test_empty_array_rejected_along_an_axis(self):
         with pytest.raises(ValueError):
@@ -428,40 +457,39 @@ class TestDiodeStages:
         for _ in range(300):
             groups = [rng.uniform(0, 0.5, size=rng.integers(1, 5))
                       for _ in range(rng.integers(1, 6))]
-            cascade = diode_max([diode_min(g) for g in groups])
+            cascade = diode_max([diode_min(g, axis=0) for g in groups], axis=0)
             assert cascade == pytest.approx(max(min(g) for g in groups), abs=1e-12)
 
 
 class TestDefuzzCircuit:
+    """The divider takes one circuit per row of a (batch, n_y) array."""
+
     def test_paper_operands(self):
-        assert defuzz_circuit(np.array([0.67, 0.34]), 2) == pytest.approx(1.3366, abs=1e-4)
+        assert defuzz_circuit(np.array([[0.67, 0.34]]), 2)[0] == pytest.approx(1.3366, abs=1e-4)
 
     def test_one_hot_returns_level_index(self):
-        mu = np.zeros(5)
-        mu[3] = 0.42
-        assert defuzz_circuit(mu, 5) == 4.0
+        mu = np.zeros((1, 5))
+        mu[0, 3] = 0.42
+        assert defuzz_circuit(mu, 5).tolist() == [4.0]
 
     def test_halving_all_confidences_changes_nothing(self):
-        mu = np.array([0.1, 0.5, 0.25, 0.0])
-        assert defuzz_circuit(0.5 * mu, 4) == defuzz_circuit(mu, 4)
+        mu = np.array([[0.1, 0.5, 0.25, 0.0]])
+        assert same_bits(defuzz_circuit(0.5 * mu, 4), defuzz_circuit(mu, 4))
 
-    def test_all_zero_underflows(self):
-        with pytest.raises(DividerUnderflowError):
-            defuzz_circuit(np.zeros(3), 3)
+    def test_all_zero_reads_nan(self):
+        assert np.isnan(defuzz_circuit(np.zeros((1, 3)), 3)).all()
 
     def test_floor_boundary_is_inclusive(self):
-        mu = np.array([0.0, 1e-4])
-        with pytest.raises(DividerUnderflowError):
-            defuzz_circuit(mu, 2, floor=1e-4)
-        assert defuzz_circuit(mu, 2, floor=9e-5) == 2.0
+        mu = np.array([[0.0, 1e-4]])
+        assert np.isnan(defuzz_circuit(mu, 2, floor=1e-4)).all()
+        assert defuzz_circuit(mu, 2, floor=9e-5).tolist() == [2.0]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            defuzz_circuit(np.zeros(3), 4)
-        with pytest.raises(ValueError):
-            defuzz_circuit(np.zeros((2, 3)), 4)
-        with pytest.raises(ValueError):
-            defuzz_circuit(np.zeros((2, 2, 4)), 4)
+        # one circuit's flat voltages are refused too: a single query is a
+        # batch of one row
+        for shape in [(4,), (3,), (2, 3), (2, 2, 4), ()]:
+            with pytest.raises(ValueError, match=r"expected \(batch, 4\)"):
+                defuzz_circuit(np.zeros(shape), 4)
 
     def test_rows_are_circuits_and_an_underflow_reads_nan(self):
         rng = np.random.default_rng(5)
@@ -471,7 +499,7 @@ class TestDefuzzCircuit:
         assert got.shape == (6,) and np.isnan(got[2])
         for row, value in zip(mu, got):
             try:
-                want = defuzz_circuit(row, 9, floor=1e-4)
+                want = divider_reference(row, 9, 1e-4)
             except DividerUnderflowError:
                 assert np.isnan(value)
                 continue
@@ -917,23 +945,95 @@ class TestPaletteWidening:
     @given(st.integers(0, 2**32 - 1), st.floats(1e-4, 2e-3))
     def test_reprogramming_grows_the_palette_past_one_byte(self, seed, eps):
         """Random float targets, written array by array, settle to new
-        doped lengths until the palette outgrows uint8 codes; a tensor
-        widens once a code written into it does not fit."""
+        doped lengths until the palette outgrows uint8 codes; every code
+        tensor widens with it.  After each write the palette is in read
+        order and the twin holds and reads what the reference does."""
         rng = np.random.default_rng(seed)
         specs, out = [QuantizationSpec(0.0, 1.0, 8), QuantizationSpec(0.0, 1.0, 5)], OUT6
         hw = program_from_model(Model([IdsGroup() for _ in range(2)], specs, out, StainRadii(1.0, 1.0)), eps)
         want = states_of(hw)
+        X = rng.uniform(-0.1, 1.1, (12, 2))
         for _ in range(100):
             if len(hw.palette) > 256:
                 break
-            g, j = int(rng.integers(2)), int(rng.integers(2))
+            g, j = int(rng.integers(-2, 2)), int(rng.integers(2))
             plane = IdsPlane(specs[j], out, rng.uniform(0.0, 1.0, (specs[j].levels, out.levels)))
             assert_same_report(program_plane(hw, g, j, plane, eps), program_plane_reference(want[j][g], plane, eps))
             assert all(codes.max() < len(hw.palette) for codes in hw.codes)
-        assert len(hw.palette) > 256 and np.uint16 in [codes.dtype for codes in hw.codes]
-        assert len(np.unique(hw.palette)) == len(hw.palette)
-        assert all(same_bits(state, w) for state, w in zip(states_of(hw), want))
-        assert_reads_match_the_reference(hw, rng.uniform(-0.1, 1.1, (12, 2)))
+            assert_palette_in_read_order(hw)
+            assert all(same_bits(state, w) for state, w in zip(states_of(hw), want))
+            assert_reads_match_the_reference(hw, X)
+        assert len(hw.palette) > 256 and [codes.dtype for codes in hw.codes] == [np.uint16] * 2
+
+
+def assert_palette_in_read_order(hw):
+    """The twin's invariant: palette entries distinct and in order of read
+    voltage, and every code tensor of the type that indexes the palette."""
+    volts = read_voltages_reference(hw.palette, hw)
+    assert (volts[1:] >= volts[:-1]).all()
+    assert len(np.unique(hw.palette)) == len(hw.palette)
+    assert [codes.dtype for codes in hw.codes] == [crossbar._code_dtype(len(hw.palette))] * len(hw.codes)
+
+
+def planes_to_write(specs, out):
+    """(g, j, plane) writes to a two-group twin, g negative at times, whose
+    degrees come from a few tent-like values (later writes often add no
+    doped length) or from random floats (each write adds dozens)."""
+    @st.composite
+    def plane(draw):
+        j = draw(st.integers(0, len(specs) - 1))
+        shape = (specs[j].levels, out.levels)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        grid = rng.choice([0.0, 0.25, 0.5, 1.0], shape) if draw(st.booleans()) else rng.uniform(0.0, 1.0, shape)
+        return draw(st.integers(-2, 1)), j, IdsPlane(specs[j], out, grid)
+    return st.lists(plane(), min_size=1, max_size=8)
+
+
+class TestPaletteOrder:
+    """The palette stays in order of read voltage through every write, so
+    crossbar_infer takes its min and max on codes."""
+
+    SPECS, OUT = [QuantizationSpec(0.0, 1.0, 8), QuantizationSpec(0.0, 1.0, 5)], OUT6
+
+    @settings(max_examples=20, deadline=None)
+    @given(planes_to_write(SPECS, OUT), st.floats(1e-4, 0.02))
+    def test_every_write_keeps_the_palette_in_read_order(self, writes, eps):
+        """Random program_plane sequences that grow the palette or add
+        nothing to it; after each write the twin holds what the per-array
+        reference holds and reads what it reads.  (Palettes grown past 256
+        entries: ``test_reprogramming_grows_the_palette_past_one_byte``.)"""
+        hw = program_from_model(Model([IdsGroup() for _ in range(2)], self.SPECS, self.OUT, StainRadii(1.0, 1.0)),
+                                eps)
+        want = states_of(hw)
+        X = np.random.default_rng(0).uniform(-0.1, 1.1, (4, 2))
+        for g, j, plane in writes:
+            assert_same_report(program_plane(hw, g, j, plane, eps), program_plane_reference(want[j][g], plane, eps))
+            assert_palette_in_read_order(hw)
+            assert all(same_bits(state, w) for state, w in zip(states_of(hw), want))
+            assert_reads_match_the_reference(hw, X)
+
+    def test_a_write_that_adds_no_length_touches_one_array(self):
+        """Reprogramming to outcomes the palette holds leaves the palette and
+        every other code tensor as they were, the same objects."""
+        hw = fresh_twin(OUT6.levels, IN8.levels, groups=2)
+        program_plane(hw, 0, 0, stain_plane(), 0.01)
+        palette, tensors = hw.palette, list(hw.codes)
+        before = hw.codes[0][0].copy()
+        program_plane(hw, 1, 0, stain_plane(), 0.01)
+        assert hw.palette is palette and all(a is b for a, b in zip(hw.codes, tensors))
+        assert same_bits(hw.codes[0][1], before)
+
+    def test_a_palette_out_of_read_order_rejected(self, worked_model):
+        """A hand-built twin whose palette runs against its read voltages
+        holds the same cells, but its codes no longer order its reads."""
+        hw = program_from_model(worked_model, 0.01)
+        top = len(hw.palette) - 1
+        flipped = dataclasses.replace(hw, palette=hw.palette[::-1].copy(),
+                                      codes=[(top - codes).astype(codes.dtype) for codes in hw.codes])
+        assert all(same_bits(a, b) for a, b in zip(states_of(flipped), states_of(hw)))
+        for x in ((2.5, 3.5), [(2.5, 3.5), (1.5, 4.0)]):
+            with pytest.raises(ValueError, match="not in order of read voltage"):
+                crossbar_infer(flipped, x)
 
 
 class TestProgrammingMemory:

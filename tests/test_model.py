@@ -393,3 +393,29 @@ class TestDerivedPlanes:
         assert same_bits(model.plane(-1, 1).grid, model.plane(len(model.groups) - 1, 1).grid)
         with pytest.raises(IndexError):
             model.plane(len(model.groups), 0)
+
+    @pytest.mark.parametrize("g, j, name", [(True, 0, "group g"), (np.bool_(False), 0, "group g"),
+                                            (0.0, 0, "group g"), ("0", 0, "group g"), (None, 0, "group g"),
+                                            (0, True, "input j"), (0, 1.0, "input j"), (0, "1", "input j")])
+    def test_an_index_that_is_not_an_integer_rejected(self, g, j, name):
+        # True read group 1's plane, (0, True) failed inside numpy and 0.0
+        # raised TypeError
+        model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
+        value = g if name == "group g" else j
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            model.plane(g, j)
+        if name == "group g":
+            with pytest.raises(ValueError, match=name):
+                model.groups[g]
+        else:
+            for derive in (model.tent_values, model.plane_codes, model.planes):
+                with pytest.raises(ValueError, match=name):
+                    derive(j)
+
+    def test_numpy_integer_indices_accepted(self):
+        model = train_full(FIX_SAMPLES, FIX_SPECS, FIX_OUT, StainRadii(3, 1.5))
+        assert same_bits(model.plane(np.int64(1), np.uint8(0)).grid, model.plane(1, 0).grid)
+        assert same_bits(model.plane(np.int32(-1), np.int64(-1)).grid, model.plane(1, 1).grid)
+        assert model.groups[np.int64(1)] == model.groups[1]
+        assert same_bits(model.plane_codes(np.int16(1)), model.plane_codes(1))
+        assert same_bits(model.tent_values(np.int64(-2)), model.tent_values(0))
